@@ -368,13 +368,17 @@ class DpEngine:
         if wrote:
             self.machine.scalar(2 * wrote)
 
-    def _poison_band_edges(self, ilo: int, ihi: int) -> None:
-        """Reset cells just outside the band window (buffers are reused)."""
+    def _poison_band_edges(self, d: int, ilo: int, ihi: int) -> None:
+        """Reset cells just outside the band window (buffers are reused).
+
+        Cells ``i = 0`` and ``i = d`` of diagonal ``d`` are the boundary
+        cells :meth:`_set_boundaries` wrote, never band edges.
+        """
         st = self.state
         for kind in ("h", "e", "f"):
             if ilo - 1 > 0:
                 st.poke(kind, 0, ilo - 1, _INF)
-            if ihi + 1 <= self.m:
+            if ihi + 1 <= self.m and ihi + 1 != d:
                 st.poke(kind, 0, ihi + 1, _INF)
 
     # ------------------------------------------------------------------
@@ -446,7 +450,7 @@ class DpEngine:
                         ),
                         accept=lambda outs, count=count: self._tb_account(count),
                     )
-            self._poison_band_edges(ilo, ihi)
+            self._poison_band_edges(d, ilo, ihi)
         final = st.peek("h", 0, self.m)
         if final >= _INF:
             return None

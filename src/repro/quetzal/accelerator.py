@@ -35,6 +35,17 @@ from repro.quetzal.qbuffer import QBuffer
 from repro.vector.machine import VectorMachine, _BINOPS, _CMPOPS
 from repro.vector.register import Pred, VReg
 
+#: Element width -> (element positions, their bit offsets, element mask)
+#: of a 64-bit window, for the reverse count's lane x element scan.
+_ELEMENT_SCAN = {
+    bits: (
+        np.arange(64 // bits),
+        np.arange(64 // bits, dtype=np.uint64) * np.uint64(bits),
+        np.uint64((1 << bits) - 1),
+    )
+    for bits in (2, 8, 64)
+}
+
 
 class QuetzalUnit:
     """One QUETZAL instance attached to one simulated core."""
@@ -169,7 +180,7 @@ class QuetzalUnit:
             requests = len(indices)
         else:
             per_word = 64 // self.element_bits
-            requests = len(np.unique(indices // per_word)) if len(indices) else 0
+            requests = len(set((indices // per_word).tolist()))
         occupancy = -(-max(1, requests) // self.config.read_ports)
         return raw, occupancy
 
@@ -258,27 +269,32 @@ class QuetzalUnit:
     def _rcount_raw(
         self, idx0_data: np.ndarray, idx1_data: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Functional reverse-count + occupancy (shared with replay)."""
-        from repro.quetzal.count_alu import count_matches_word_reverse
+        """Functional reverse-count + occupancy (shared with replay).
 
+        Each active lane reads one window per buffer, backed off by the
+        same ``rel = min(i0, i1, 64/esize - 1)`` elements in both so the
+        indexed elements sit at window element ``rel``; the count is the
+        run of matching elements from ``rel`` down to 0 (the scalar
+        reference is :func:`~repro.quetzal.count_alu.count_matches_word_reverse`).
+        """
         bits = self.element_bits
-        per_word = 64 // bits
-        self.ctrl.check_indices(idx0_data[active], 0)
-        self.ctrl.check_indices(idx1_data[active], 1)
+        i0 = idx0_data[active]
+        i1 = idx1_data[active]
+        self.ctrl.check_indices(i0, 0)
+        self.ctrl.check_indices(i1, 1)
+        rel = np.minimum(np.minimum(i0, i1), 64 // bits - 1)
+        a, _ = self.qbuf[0].read_vector(i0 - rel, bits, windows=True)
+        b, _ = self.qbuf[1].read_vector(i1 - rel, bits, windows=True)
+        # Lane x element match matrix of the XNOR; a lane's count stops
+        # at the highest mismatching element at or below ``rel``.
+        elem, shifts, mask = _ELEMENT_SCAN[bits]
+        xnor = ~(a ^ b)
+        miss = (((xnor[:, None] >> shifts) & mask) != mask) & (
+            elem <= rel[:, None]
+        )
         result = np.zeros(len(idx0_data), dtype=np.int64)
-        requests = 0
-        for lane in np.flatnonzero(active):
-            i0, i1 = int(idx0_data[lane]), int(idx1_data[lane])
-            w0 = max(0, i0 - (per_word - 1))
-            w1 = max(0, i1 - (per_word - 1))
-            rel = min(i0 - w0, i1 - w1)
-            a = self.qbuf[0].read_window(i0 - rel, bits)
-            b = self.qbuf[1].read_window(i1 - rel, bits)
-            result[lane] = count_matches_word_reverse(a, b, bits, rel)
-            requests += 1
-        self.qbuf[0].reads += 1
-        self.qbuf[1].reads += 1
-        occupancy = -(-max(1, requests) // self.config.read_ports)
+        result[active] = rel - np.where(miss, elem, -1).max(axis=1)
+        occupancy = -(-max(1, len(i0)) // self.config.read_ports)
         return result, occupancy
 
     def qzmm(

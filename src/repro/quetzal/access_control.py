@@ -49,7 +49,8 @@ class AccessControl:
             raise QuetzalError("QUETZAL not configured; issue qzconf first")
         if indices.size == 0:
             return
-        lo, hi = int(indices.min()), int(indices.max())
+        lanes = indices.tolist()  # vector-sized: cheaper than two reductions
+        lo, hi = min(lanes), max(lanes)
         if lo < 0 or hi >= self.eb[sel]:
             raise QuetzalError(
                 f"QBUFFER {sel} index [{lo}, {hi}] outside configured "

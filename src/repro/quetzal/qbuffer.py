@@ -22,6 +22,7 @@ from repro.config import QuetzalConfig
 from repro.errors import QuetzalError
 
 _MASK = {bits: np.uint64((1 << bits) - 1) for bits in (2, 8)}
+_WORD_BITS = np.uint64(64)
 
 
 class QBuffer:
@@ -31,7 +32,10 @@ class QBuffer:
         self.config = config
         self.name = name
         self.n_words = config.qbuffer_bytes // 8
-        self.words = np.zeros(self.n_words, dtype=np.uint64)
+        # One zero word past the end: a window starting in the last word
+        # splices its high part from it, as the hardware reads zero there.
+        self._padded = np.zeros(self.n_words + 1, dtype=np.uint64)
+        self.words = self._padded[: self.n_words]
         self.reads = 0
         self.writes = 0
 
@@ -55,7 +59,8 @@ class QBuffer:
     def _check_elements(self, indices: np.ndarray, element_bits: int) -> None:
         if indices.size == 0:
             return
-        lo, hi = int(indices.min()), int(indices.max())
+        lanes = indices.tolist()  # vector-sized: cheaper than two reductions
+        lo, hi = min(lanes), max(lanes)
         cap = self.capacity_elements(element_bits)
         if lo < 0 or hi >= cap:
             raise QuetzalError(
@@ -171,12 +176,23 @@ class QBuffer:
         ``ceil(requests / read_ports) + 1``.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        reader = self.read_window if windows else self.read_element
-        values = np.fromiter(
-            (reader(int(i), element_bits) for i in indices),
-            dtype=np.uint64,
-            count=len(indices),
-        )
+        # Bounds first: NumPy would wrap a negative index silently.
+        self._check_elements(indices, element_bits)
+        if element_bits == 64:
+            values = self.words[indices]
+        else:
+            # The Fig. 10 splice for every lane at once: the word holding
+            # the element supplies the low bits, the next word (the zero
+            # pad past the end) the high ones.  An aligned lane shifts the
+            # next word by 64, which NumPy defines as 0.
+            bit = indices * element_bits
+            off = (bit & 63).astype(np.uint64)
+            word = bit >> 6
+            values = (self._padded[word] >> off) | (
+                self._padded[word + 1] << (_WORD_BITS - off)
+            )
+            if not windows:
+                values &= _MASK[element_bits]
         self.reads += 1
         requests = max(1, len(indices))
         latency = -(-requests // self.config.read_ports) + 1

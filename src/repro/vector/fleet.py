@@ -1333,10 +1333,11 @@ def _compile_fleet(prog) -> FleetProgram:
             w("    ts = tsA[_r]")
             w(f"    ti = _ar(ts, ts + {n})")
             w(f"    tr = d{p}[_r] & (ti >= 0) & (ti < {ln}[_r])")
+            # ``ti`` ascends, so the live lanes span tl2[0]..tl2[-1].
             w("    tl2 = ti[tr]")
             w(f"    d{o}[_r][tr] = {buf}[_r].data[tl2]")
             w("    if tl2.size:")
-            w("        tlo = int(tl2.min()); tsp = int(tl2.max()) - tlo + 1")
+            w("        tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
             w("    else:")
             w("        tlo = 0; tsp = 0")
             w("    if tsp:")
@@ -1369,7 +1370,7 @@ def _compile_fleet(prog) -> FleetProgram:
             w("    tl2 = ti[tr]")
             w(f"    {buf}[_r].data[tl2] = d{v}[_r][tr]")
             w("    if tl2.size:")
-            w("        tlo = int(tl2.min()); tsp = int(tl2.max()) - tlo + 1")
+            w("        tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
             w("    else:")
             w("        tlo = 0; tsp = 0")
             w(f"    {buf}[_r]._win64 = None")

@@ -244,7 +244,6 @@ class VectorMachine:
         self._instructions: Counter = Counter()
         self._busy: Counter = Counter()
         self._stall: Counter = Counter()
-        self._buffers: dict[str, SimBuffer] = {}
         # line address -> cycle at which a tracked store becomes loadable
         self._store_visible: dict[int, int] = {}
         #: Attached QUETZAL unit (set by ``QuetzalUnit.attach``); None on a
@@ -468,15 +467,7 @@ class VectorMachine:
         if elem_bytes is None:
             elem_bytes = arr.dtype.itemsize if arr.dtype.itemsize in (1, 2, 4, 8) else 8
         base = self.mem.alloc(len(arr) * elem_bytes)
-        buf = SimBuffer(name, arr, base, elem_bytes)
-        self._buffers[name] = buf
-        return buf
-
-    def buffer(self, name: str) -> SimBuffer:
-        try:
-            return self._buffers[name]
-        except KeyError:
-            raise MachineError(f"no buffer named {name!r}")
+        return SimBuffer(name, arr, base, elem_bytes)
 
     def name_uid(self, prefix: str) -> int:
         """Next per-machine sequence number for buffer names.
@@ -808,9 +799,9 @@ class VectorMachine:
             live = idx[in_range]
             vals = np.zeros(n, dtype=np.int64)
             vals[in_range] = buf.data[live]
-            if live.size:
-                lo_live = int(live.min())
-                span = int(live.max()) - lo_live + 1
+            if live.size:  # ascending: the span is first to last lane
+                lo_live = int(live[0])
+                span = int(live[-1]) - lo_live + 1
             else:
                 lo_live = span = 0
         sid = stream_id if stream_id is not None else buf.default_sid
@@ -855,9 +846,9 @@ class VectorMachine:
                 )
             live = idx[in_range]
             buf.data[live] = value.data[in_range]
-            if live.size:
-                lo = int(live.min())
-                span = int(live.max()) - lo + 1
+            if live.size:  # ascending: the span is first to last lane
+                lo = int(live[0])
+                span = int(live[-1]) - lo + 1
             else:
                 lo = span = 0
         buf.mark_dirty()

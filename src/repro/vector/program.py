@@ -1178,11 +1178,12 @@ def _compile(
             # identical source so the bytecode cache — and the fleet
             # executor's same-source batching — can hit.
             w(f"tr = d{p} & (ti >= 0) & (ti < {kbake(op['len'])})")
+            # ``ti`` ascends, so the live lanes span tl2[0]..tl2[-1].
             w("tl2 = ti[tr]")
             w(f"d{o} = _zi64({n})")
             w(f"d{o}[tr] = {buf}.data[tl2]")
             w("if tl2.size:")
-            w("    tlo = int(tl2.min()); tsp = int(tl2.max()) - tlo + 1")
+            w("    tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
             w("else:")
             w("    tlo = 0; tsp = 0")
             w("if tsp:")
@@ -1210,7 +1211,7 @@ def _compile(
             w("tl2 = ti[tr]")
             w(f"{buf}.data[tl2] = d{v}[tr]")
             w("if tl2.size:")
-            w("    tlo = int(tl2.min()); tsp = int(tl2.max()) - tlo + 1")
+            w("    tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
             w("else:")
             w("    tlo = 0; tsp = 0")
             w(f"{buf}._win64 = None")

@@ -11,7 +11,9 @@ the QUETZAL-accelerated DP kernel), every cell of
 
 must reproduce the all-off serial baseline exactly — same per-pair
 cycle counts, same merged machine statistics (cache hits, prefetch
-accuracy, DRAM traffic, ...), same alignment outputs.
+accuracy, DRAM traffic, ...), same alignment outputs.  This base grid
+also runs the QBUFFER window path (``wfa-qz``: ``qzload`` windows) and
+the count-ALU paths (``biwfa-qzc``: ``qzmhm`` count and rcount).
 
 The fleet executor adds its own axis: every cell of
 
@@ -72,7 +74,7 @@ import multiprocessing
 
 import pytest
 
-from repro.align.quetzal_impl import KswQz
+from repro.align.quetzal_impl import BiwfaQzc, KswQz, WfaQz
 from repro.align.vectorized import SsVec, WfaVec
 from repro.eval import records
 from repro.eval.runner import run_implementation
@@ -85,6 +87,9 @@ from repro.vector.program import REPLAY_METER
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 IMPLS = {"wfa-vec": WfaVec, "ss-vec": SsVec, "ksw-qz": KswQz}
+#: The base grid's families: IMPLS plus the QBUFFER window and count-ALU
+#: read paths (the other axes keep to IMPLS).
+BASE_IMPLS = {**IMPLS, "wfa-qz": WfaQz, "biwfa-qzc": BiwfaQzc}
 
 #: (use_batched_memory, use_replay, trace, jobs) — the full grid.
 GRID = list(itertools.product((False, True), (False, True), (False, True), (1, 2)))
@@ -148,7 +153,7 @@ def baseline_for(name):
     """All-off serial reference signature, computed once per family."""
     if name not in _baselines:
         _batches[name] = pairs()
-        _baselines[name] = run_cell(IMPLS[name], _batches[name], *BASELINE)
+        _baselines[name] = run_cell(BASE_IMPLS[name], _batches[name], *BASELINE)
     return _baselines[name]
 
 
@@ -160,14 +165,14 @@ def cell_id(cell):
     )
 
 
-@pytest.mark.parametrize("name", sorted(IMPLS))
+@pytest.mark.parametrize("name", sorted(BASE_IMPLS))
 @pytest.mark.parametrize("cell", GRID, ids=cell_id)
 def test_cell_matches_baseline(name, cell):
     batched, replay, trace, jobs = cell
     if jobs > 1 and not HAS_FORK:
         pytest.skip("pooled cells need the fork start method")
     expected = baseline_for(name)
-    got = run_cell(IMPLS[name], _batches[name], batched, replay, trace, jobs)
+    got = run_cell(BASE_IMPLS[name], _batches[name], batched, replay, trace, jobs)
     assert got[0] == expected[0], "per-pair cycle counts diverged"
     assert got[1] == expected[1], "per-pair instruction counts diverged"
     assert got[2] == expected[2], "machine statistics diverged"
@@ -182,14 +187,12 @@ def divergent_pairs():
     """Mixed lengths and error rates: pairs finish at very different
     iteration counts, so fleet rows retire mid-group and the scheduler
     re-buckets the survivors — the hard case for per-pair retirement.
-
-    Substitution-only profiles: indel-bearing pairs trip a pre-existing
-    anti-diagonal-DP self-check in every execution mode (seed bug,
-    independent of the fleet), which would mask what this axis tests.
-    """
+    Indels are included, so DP pairs open and close with gaps."""
     out = []
     for length, err, seed in ((48, 0.08, 3), (96, 0.01, 5), (160, 0.15, 7)):
-        gen = ReadPairGenerator(length, ErrorProfile(err, 0.0, 0.0), seed=seed)
+        gen = ReadPairGenerator(
+            length, ErrorProfile(err * 0.6, err * 0.2, err * 0.2), seed=seed
+        )
         out.extend(gen.pairs(2))
     return tuple(out)
 
@@ -198,26 +201,13 @@ _fleet_baselines: dict = {}
 _fleet_batches: dict = {}
 
 
-def fleet_impl(name):
-    """Implementation factory for the fleet axis.
-
-    The divergent batch's error rates overflow the banded DP's default
-    band heuristic, tripping its self-check in *every* execution mode —
-    a generous explicit band keeps those inputs in-contract so the axis
-    exercises fleet retirement, not banding limits.
-    """
-    if name == "ksw-qz":
-        return lambda: KswQz(band=64)
-    return IMPLS[name]
-
-
 def fleet_baseline_for(name, kind):
     """All-off serial (fresh machine per pair) reference per batch kind."""
     key = (name, kind)
     if key not in _fleet_baselines:
         batch = pairs() if kind == "standard" else divergent_pairs()
         _fleet_batches[key] = batch
-        _fleet_baselines[key] = run_cell(fleet_impl(name), batch, *BASELINE)
+        _fleet_baselines[key] = run_cell(IMPLS[name], batch, *BASELINE)
     return _fleet_baselines[key]
 
 
@@ -245,7 +235,7 @@ def test_fleet_cell_matches_baseline(name, cell, kind):
     fleet, batched, replay = cell
     expected = fleet_baseline_for(name, kind)
     got = run_fleet_cell(
-        fleet_impl(name), _fleet_batches[(name, kind)], fleet, batched, replay
+        IMPLS[name], _fleet_batches[(name, kind)], fleet, batched, replay
     )
     assert got[0] == expected[0], "per-pair cycle counts diverged"
     assert got[1] == expected[1], "per-pair instruction counts diverged"
@@ -273,7 +263,7 @@ def test_tracetree_cell_matches_baseline(name, cell, kind):
         pytest.skip("pooled cells need the fork start method")
     expected = fleet_baseline_for(name, kind)
     got = run_cell(
-        fleet_impl(name), _fleet_batches[(name, kind)],
+        IMPLS[name], _fleet_batches[(name, kind)],
         batched, True, False, jobs, trees=trees,
     )
     assert got[0] == expected[0], "per-pair cycle counts diverged"
@@ -301,7 +291,7 @@ def test_backend_cell_matches_baseline(name, cell, kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VectorMachine, "jit_backend", backend)
         got = run_cell(
-            fleet_impl(name), _fleet_batches[(name, kind)],
+            IMPLS[name], _fleet_batches[(name, kind)],
             True, True, False, 1, trees=trees,
         )
     assert got[0] == expected[0], "per-pair cycle counts diverged"
@@ -336,7 +326,7 @@ def test_memvec_cell_matches_baseline(name, cell, kind):
         mp.setattr(VectorMachine, "use_replay", True)
         got = signature(
             run_implementation(
-                fleet_impl(name)(), _fleet_batches[(name, kind)], fleet=fleet
+                IMPLS[name](), _fleet_batches[(name, kind)], fleet=fleet
             )
         )
         assert_meter_conserved()
@@ -363,11 +353,10 @@ def serve_requests(name, kind):
     from repro.serve.protocol import AlignRequest
 
     fleet_baseline_for(name, kind)  # materialize _fleet_batches[key]
-    params = (("band", 64),) if name == "ksw-qz" else ()
     return [
         AlignRequest(
             id=f"g{i:02d}", tenant="grid", impl=name,
-            pattern=str(pair.pattern), text=str(pair.text), params=params,
+            pattern=str(pair.pattern), text=str(pair.text),
         )
         for i, pair in enumerate(_fleet_batches[(name, kind)])
     ]
@@ -391,7 +380,7 @@ def serve_expected_lines(name, kind):
             mp.setattr(VectorMachine, "use_replay", False)
             mp.setattr(VectorMachine, "auto_trace", False)
             result = run_implementation(
-                fleet_impl(name)(), _fleet_batches[key], shard_size=1
+                IMPLS[name](), _fleet_batches[key], shard_size=1
             )
         _serve_expected[key] = [
             canonical_encode(response_record(request, pair_result))
@@ -434,7 +423,7 @@ def test_serve_cell_matches_baseline(name, cell, kind):
     assert [r["output"] for r in responses] == [repr(o) for o in expected[3]]
 
 
-@pytest.mark.parametrize("name", sorted(IMPLS))
+@pytest.mark.parametrize("name", sorted(BASE_IMPLS))
 def test_baseline_is_nontrivial(name):
     """The reference itself must do real work, or the grid proves nothing."""
     sig = baseline_for(name)

@@ -1,12 +1,14 @@
 """Tests for the classic-DP engine (ksw2 / parasail stand-ins)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.align.dp_machine import DpEngine, KswVec, ParasailNwVec, default_band
 from repro.align.quetzal_impl import KswQz, ParasailNwQz
 from repro.align.smith_waterman import banded_global_affine, nw_gotoh_global
 from repro.align.types import Penalties
 from repro.eval.runner import make_machine
+from repro.genomics.datasets import build_dataset
 from repro.genomics.generator import ErrorProfile, ReadPairGenerator, SequencePair
 from repro.genomics.sequence import Sequence
 
@@ -58,6 +60,41 @@ class TestFunctionalCorrectness:
             make_machine(), pair
         )
         assert result.output == nw_gotoh_global(pair.pattern, pair.text, pen)
+
+
+class TestGapBoundaries:
+    """Alignments that open or close with a gap run along the j=0 / i=0
+    boundary cells, which the band-edge reset must leave alone."""
+
+    @pytest.mark.parametrize("cls", (KswVec, KswQz, ParasailNwVec, ParasailNwQz))
+    def test_figure_pair_with_leading_gap(self, cls):
+        # Pair 11 of the Fig. 13a 250bp set: the text starts one base
+        # into the pattern, so the optimal path leaves (0, 0) by a gap.
+        pair = build_dataset("250bp_1", 12, seed=1234).pairs[11]
+        impl = cls(fast=False)
+        result = impl.run_pair(make_machine(quetzal=impl.requires_quetzal), pair)
+        assert result.output == nw_gotoh_global(pair.pattern, pair.text, Penalties())
+
+    @given(
+        st.text("ACGT", min_size=4, max_size=28),
+        st.lists(st.text("ACGT", max_size=6), min_size=4, max_size=4),
+        st.lists(st.tuples(st.integers(0, 27), st.sampled_from("ACGT")), max_size=3),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exact_mode_matches_references(self, core, flanks, subs, band):
+        text = list(core)
+        for pos, base in subs:
+            text[pos % len(text)] = base
+        pair = SequencePair(
+            Sequence(flanks[0] + core + flanks[1]),
+            Sequence(flanks[2] + "".join(text) + flanks[3]),
+        )
+        pen = Penalties()
+        nw = ParasailNwVec(fast=False).run_pair(make_machine(), pair)
+        assert nw.output == nw_gotoh_global(pair.pattern, pair.text, pen)
+        ksw = KswVec(band=band, fast=False).run_pair(make_machine(), pair)
+        assert ksw.output == banded_global_affine(pair.pattern, pair.text, band, pen)
 
 
 class TestFastPath:

@@ -41,12 +41,14 @@ def standard_pairs():
 
 
 def divergent_pairs():
-    """Mixed lengths and error rates (substitution-only, as in the
-    conformance grid's fleet axis): pairs finish at very different
-    iteration counts, so coalesced batches retire rows mid-flight."""
+    """Mixed lengths and error rates (with indels, as in the conformance
+    grid's fleet axis): pairs finish at very different iteration counts,
+    so coalesced batches retire rows mid-flight."""
     out = []
     for length, err, seed in ((48, 0.08, 3), (96, 0.01, 5), (160, 0.15, 7)):
-        gen = ReadPairGenerator(length, ErrorProfile(err, 0.0, 0.0), seed=seed)
+        gen = ReadPairGenerator(
+            length, ErrorProfile(err * 0.6, err * 0.2, err * 0.2), seed=seed
+        )
         out.extend(gen.pairs(2))
     return tuple(out)
 

@@ -102,3 +102,27 @@ class TestPackageSurface:
                     if getattr(obj, "__module__", None) != mod_name:
                         continue
                     assert obj.__doc__, f"{mod_name}.{name} lacks a docstring"
+
+
+class TestVersion:
+    def test_pyproject_reads_the_single_source_version(self):
+        """pyproject.toml declares no version of its own: setuptools
+        reads it from ``repro._version``, so the two cannot disagree."""
+        import importlib
+
+        import repro
+
+        text = "\n" + (REPO / "pyproject.toml").read_text()
+
+        def table(name):
+            return text.split(f"\n[{name}]\n", 1)[1].split("\n[", 1)[0]
+
+        project = table("project")
+        assert not re.search(r"^version\s*=", project, re.M)
+        assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', project, re.M)
+        attr = re.search(
+            r'^version\s*=\s*\{\s*attr\s*=\s*"([\w.]+)"\s*\}',
+            table("tool.setuptools.dynamic"), re.M,
+        ).group(1)
+        module, name = attr.rsplit(".", 1)
+        assert getattr(importlib.import_module(module), name) == repro.__version__

@@ -1,5 +1,7 @@
 """Tests for the vector machine: functional semantics + timing model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,11 +191,18 @@ class TestMemoryOps:
         with pytest.raises(MachineError):
             machine.store(buf, 0, machine.iota())
 
-    def test_buffer_lookup(self, machine):
-        machine.new_buffer("named", np.arange(4))
-        assert machine.buffer("named").name == "named"
-        with pytest.raises(MachineError):
-            machine.buffer("ghost")
+    def test_new_buffer_is_not_retained(self, machine):
+        # The caller owns a buffer: a machine running pair after pair
+        # must not keep every dropped buffer alive.
+        assert machine.new_buffer("named", np.arange(4)).name == "named"
+        tracemalloc.start()
+        try:
+            for i in range(32):
+                machine.new_buffer(f"b{i}", np.zeros(1 << 15))  # 256 KB each
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 class TestTiming:
@@ -262,7 +271,8 @@ class TestTiming:
         machine.dup(1)
         machine.reset()
         assert machine.cycles == 0
-        assert machine.buffer("b") is buf
+        assert buf.data.tolist() == [0, 1, 2, 3]
+        assert machine.load(buf, 0, ebits=64).data.tolist()[:4] == [0, 1, 2, 3]
 
     def test_breakdown_sums_to_one(self, machine):
         buf = machine.new_buffer("b", np.arange(64))
