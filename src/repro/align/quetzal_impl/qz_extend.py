@@ -293,7 +293,7 @@ class QzKernel(ExtendKernel):
     def cost_model(self, machine):
         return _COST_MODELS[(self.style, self.backward)](machine)
 
-    def account_memory(self, machine, chunk_mem, total_iters):
+    def account_memory(self, machine, v0, h0, iters, total_iters):
         # Sequence traffic stays inside the QBUFFERs: two reads/iteration.
         self.qz.qbuf[0].reads += total_iters
         self.qz.qbuf[1].reads += total_iters

@@ -22,10 +22,13 @@ overlaps naturally.  With many chunks the wave becomes issue-bound
 it degenerates to the serial latency chain.
 
 Per-window Python execution is exact but too slow for 30Kbp reads.
-:class:`LoopCostModel` measures the loop body's issue occupancy and
-serial cost per active-lane count once, and :func:`account_wave_extend`
-replays a whole wave as ``max(issue-bound, longest-chunk serial bound)``.
-Tests pin the fast path against the instruction-level path.
+The fast path works on a whole wave at once, as a ``(chunk, lane)``
+matrix: :func:`run_lengths` finds every lane's match run in a few NumPy
+passes, :class:`LoopCostModel` measures the loop body's issue occupancy
+and serial cost per active-lane count once, and
+:func:`account_wave_extend` replays the wave in closed form as
+``max(issue-bound, longest-chunk serial bound)``.  Tests pin the fast
+path against the instruction-level path.
 """
 
 from __future__ import annotations
@@ -257,15 +260,60 @@ def extend_iterations(
     return window_iterations(runs, bounds, entered, VEC_WINDOW)
 
 
-def active_counts(iters: np.ndarray) -> np.ndarray:
-    """Per-iteration active-lane counts: ``a_j = #{i: iters_i >= j}``."""
-    iters = np.asarray(iters, dtype=np.int64)
-    max_iter = int(iters.max()) if iters.size else 0
-    if max_iter == 0:
-        return np.zeros(0, dtype=np.int64)
-    hist = np.bincount(iters[iters > 0], minlength=max_iter + 1)
-    # a_j = number of lanes with iters >= j, j = 1..max_iter.
-    return np.cumsum(hist[::-1])[::-1][1:]
+#: Block sizes of :func:`run_lengths`: the first block after the first
+#: symbol, then at least double the last one, at least ``_RUN_SPREAD``
+#: symbols spread over the lanes still matching (usually one or two, on
+#: the alignment path), at most ``_RUN_BLOCK_MAX`` and at most
+#: ``_RUN_PASS_MAX`` symbols per pass over all lanes, which bounds the
+#: temporaries.
+_RUN_BLOCK = 16
+_RUN_SPREAD = 1 << 10
+_RUN_BLOCK_MAX = 1 << 12
+_RUN_PASS_MAX = 1 << 16
+
+
+def run_lengths(
+    p: np.ndarray, t: np.ndarray, v: np.ndarray, h: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """Match-run lengths of every live lane, in a few NumPy passes.
+
+    Equals :func:`~repro.align.wavefront.lcp` ``(p, t, v, h)`` on each
+    lane of ``live`` (offsets are non-negative) and 0 elsewhere: a lane
+    at or past either sequence end, or whose first symbols differ, runs
+    0; every other lane stops at its first mismatch or the shorter end.
+    The first symbols are compared for all lanes at once, then blocks of
+    growing length for the lanes still matching.
+    """
+    m, n = len(p), len(t)
+    runs = np.zeros(v.shape, dtype=np.int64)
+    lim = np.minimum(m - v, n - h)
+    lanes = np.flatnonzero(live & (lim > 0))
+    vs = v.reshape(-1)[lanes]
+    hs = h.reshape(-1)[lanes]
+    same = p[vs] == t[hs]
+    lanes, vs, hs = lanes[same], vs[same], hs[same]
+    lims = lim.reshape(-1)[lanes]
+    flat = runs.reshape(-1)
+    done, block = 1, _RUN_BLOCK
+    while lanes.size:
+        ks = np.arange(done, done + block)
+        # Positions past a lane's end are clipped for the gather and
+        # stop it through ``lims``.
+        stop = ks >= lims[:, None]
+        stop |= p.take(vs[:, None] + ks, mode="clip") != t.take(
+            hs[:, None] + ks, mode="clip"
+        )
+        hit = stop.any(axis=1)
+        flat[lanes[hit]] = done + stop[hit].argmax(axis=1)
+        more = ~hit
+        lanes, vs, hs, lims = lanes[more], vs[more], hs[more], lims[more]
+        done += block
+        left = max(1, lanes.size)
+        block = max(_RUN_BLOCK, min(
+            _RUN_BLOCK_MAX, _RUN_PASS_MAX // left,
+            max(2 * block, _RUN_SPREAD // left),
+        ))
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -403,54 +451,64 @@ class ExtendCostModel(LoopCostModel):
 
 
 def account_wave_extend(
-    machine: VectorMachine,
-    cost_model: LoopCostModel,
-    chunk_iter_series: list[np.ndarray],
+    machine: VectorMachine, cost_model: LoopCostModel, iters: np.ndarray
 ) -> int:
     """Fast-path replay of one interleaved wave of extend chunks.
 
-    ``chunk_iter_series`` holds each chunk's per-iteration active-lane
-    counts.  Instruction and busy (issue) counters sum exactly; the clock
-    advances by ``max(total issue, longest chunk's serial time)`` — the
-    software-pipelining bound.  Returns total iterations (for QBUFFER
-    read accounting by QUETZAL callers).
+    ``iters`` holds each lane's loop iterations, one row per chunk.  A
+    chunk's iteration ``j`` runs the lanes with at least ``j`` iterations,
+    so with a row sorted descending (``s``) exactly ``s[k-1] - s[k]`` of
+    its iterations have ``k`` active lanes.  Instruction and busy (issue)
+    counters sum exactly; the clock advances by ``max(total issue,
+    longest chunk's serial time)`` — the software-pipelining bound.
+    Returns total iterations (for QBUFFER read accounting by QUETZAL
+    callers).
     """
     entry = cost_model.entry()
+    n_chunks, width = iters.shape
+    desc = np.sort(iters, axis=1)[:, ::-1]
+    # cnt[c, k-1]: iterations of chunk c with exactly k active lanes.
+    cnt = desc.copy()
+    cnt[:, :-1] -= desc[:, 1:]
+    present = cnt > 0
+    ks = np.flatnonzero(present.any(axis=0)) + 1
+    # Counter keys keep the order an iteration-by-iteration walk would
+    # insert them in (chunk by chunk, k descending within a chunk): the
+    # order reaches the emitted records.
+    first = present.argmax(axis=0)[ks - 1]
+    hist = cnt.sum(axis=0).tolist()
+    instructions: Counter = Counter()
+    busy: Counter = Counter()
+    per_cycles = np.zeros(width, dtype=np.int64)
+    for k in ks[np.lexsort((-ks, first))].tolist():
+        per = cost_model.per_iteration(k)
+        times = hist[k - 1]
+        for cat, n in per.instructions.items():
+            instructions[cat] += n * times
+        for cat, n in per.busy.items():
+            busy[cat] += n * times
+        per_cycles[k - 1] = per.cycles
+    serial_worst = entry.cycles + int((cnt @ per_cycles).max())
+    for cat, n in entry.instructions.items():
+        instructions[cat] += n * n_chunks
+    for cat, n in entry.busy.items():
+        busy[cat] += n * n_chunks
     # The interleaved schedule branches once per *round*, so only one
     # wave-exit branch mispredicts; the measured per-chunk entry includes
     # one mispredict, credited back for all chunks but the first.
     penalty = machine.system.mispredict_penalty
-    instructions: Counter = Counter()
-    busy: Counter = Counter()
-    extra_stall = 0
-    total_iters = 0
-    serial_worst = 0
-    n_chunks = len(chunk_iter_series)
-    for counts in chunk_iter_series:
-        serial = entry.cycles
-        for k in counts.tolist():
-            if k == 0:
-                continue
-            per = cost_model.per_iteration(int(k))
-            instructions.update(per.instructions)
-            busy.update(per.busy)
-            serial += per.cycles
-            total_iters += 1
-        serial_worst = max(serial_worst, serial)
-    for _ in range(n_chunks):
-        instructions.update(entry.instructions)
-        busy.update(entry.busy)
-    extra_stall += entry.stall.get("control", 0) * n_chunks - penalty * max(
-        0, n_chunks - 1
+    extra_stall = max(
+        0,
+        entry.stall.get("control", 0) * n_chunks
+        - penalty * max(0, n_chunks - 1),
     )
-    extra_stall = max(0, extra_stall)
     issue_total = sum(busy.values())
     extra = max(extra_stall, serial_worst - issue_total)
     machine.account_mix(
         instructions, busy, extra_stall=extra,
         stall_category=cost_model.stall_category,
     )
-    return total_iters
+    return sum(hist)
 
 
 def account_extend_memory(
@@ -461,62 +519,63 @@ def account_extend_memory(
     h0: np.ndarray,
     iters: np.ndarray,
 ) -> None:
-    """Fast-path memory accounting for VEC extend lanes.
+    """Fast-path memory accounting for a wave of VEC extend chunks.
 
-    The instruction-level loop issues one 8-byte window access per active
+    ``v0``/``h0``/``iters`` are ``(chunk, lane)`` matrices.  The
+    instruction-level loop issues one 8-byte window access per active
     lane per iteration to each sequence.  The fast path touches each
-    distinct cache line once (keeping hierarchy contents truthful and
-    charging cold-line penalties) and accounts the remaining requests as
-    the L1 hits they would have been.
+    chunk's distinct cache lines once, in one sorted batch per chunk and
+    in chunk order (keeping hierarchy contents truthful and charging
+    cold-line penalties), and accounts the remaining requests as the L1
+    hits they would have been.
     """
-    total_requests = 2 * int(iters.sum())
-    if total_requests == 0:
+    requests = 2 * iters.sum(axis=1)
+    if not requests.any():
         return
     line = machine.system.l1d.line_bytes
     l1_lat = machine.system.l1d.load_to_use
-    lines: set[int] = set()
+    chunk, lane = np.nonzero(iters > 0)
+    it = iters[chunk, lane]
+    firsts, counts = [], []
     for buf, starts in ((pbuf, v0), (tbuf, h0)):
-        for s, it in zip(starts.tolist(), iters.tolist()):
-            if it <= 0:
-                continue
-            a0 = buf.addr_of(int(s))
-            a1 = buf.addr_of(min(len(buf.data) - 1, int(s) + int(it) * VEC_WINDOW))
-            lines.update(range(a0 - a0 % line, a1 + 1, line))
-    latencies = machine.mem.access_line_batch(
-        np.fromiter(sorted(lines), dtype=np.int64, count=len(lines))
+        s = starts[chunk, lane]
+        a0 = buf.base + s * buf.elem_bytes
+        a1 = buf.base + np.minimum(
+            len(buf.data) - 1, s + it * VEC_WINDOW
+        ) * buf.elem_bytes
+        firsts.append(a0 // line)
+        counts.append(np.maximum(a1 // line - a0 // line + 1, 0))
+    first = np.concatenate(firsts)
+    count = np.concatenate(counts)
+    # Expand each lane's [first, last] line interval, then dedupe and sort
+    # per chunk through (chunk, line) keys.
+    lines = np.repeat(first - (np.cumsum(count) - count), count)
+    lines += np.arange(lines.size)
+    owner = np.repeat(np.concatenate((chunk, chunk)), count)
+    span = int(lines.max()) + 1 if lines.size else 1
+    keys = np.sort(owner * span + lines)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    keys = keys[fresh]
+    addrs = (keys % span) * line
+    bounds = np.searchsorted(keys // span, np.arange(len(requests) + 1))
+    touched = np.flatnonzero(requests)
+    latencies = [
+        machine.mem.access_line_batch(addrs[lo:hi])
+        for lo, hi in zip(bounds[touched].tolist(), bounds[touched + 1].tolist())
+    ]
+    machine.mem.account_extra_hits(
+        int(np.maximum(requests - np.diff(bounds), 0).sum())
     )
-    extra = int(np.maximum(latencies - l1_lat, 0).sum())
-    machine.mem.account_extra_hits(max(0, total_requests - len(lines)))
-    if extra:
-        machine.account_block("memory", stall=extra, stall_category="memory")
-
-
-def lane_iterations(
-    p_codes: np.ndarray,
-    t_codes: np.ndarray,
-    v: VReg,
-    h: VReg,
-    valid: Pred,
-    m_len: int,
-    n_len: int,
-    window: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Functional run lengths + iteration counts for one chunk's lanes.
-
-    Returns ``(runs, iters, v0, h0)``.
-    """
-    from repro.align.wavefront import lcp  # local import to avoid a cycle
-
-    mask = valid.data
-    v0 = np.where(mask, v.data, 0)
-    h0 = np.where(mask, h.data, 0)
-    runs = np.zeros(len(mask), dtype=np.int64)
-    for i in np.flatnonzero(mask):
-        runs[i] = lcp(p_codes, t_codes, int(v0[i]), int(h0[i]))
-    bounds = np.minimum(m_len - v0, n_len - h0)
-    entered = mask & (v0 < m_len) & (h0 < n_len)
-    iters = window_iterations(runs, bounds, entered, window)
-    return runs, iters, v0, h0
+    # The latencies line up with ``addrs``; the hierarchy does not read
+    # the machine clock, so the stalls can follow the whole walk.
+    excess = np.cumsum(np.maximum(np.concatenate(latencies) - l1_lat, 0))
+    excess = np.concatenate(([0], excess))
+    stalls = excess[bounds[1:]] - excess[bounds[:-1]]
+    for c in np.flatnonzero(stalls).tolist():
+        machine.account_block(
+            "memory", stall=int(stalls[c]), stall_category="memory"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -546,9 +605,15 @@ class ExtendKernel:
         raise NotImplementedError
 
     def account_memory(
-        self, machine: VectorMachine, chunk_mem, total_iters: int
+        self,
+        machine: VectorMachine,
+        v0: np.ndarray,
+        h0: np.ndarray,
+        iters: np.ndarray,
+        total_iters: int,
     ) -> None:
-        """Fast-path traffic accounting; ``chunk_mem`` is [(v0, h0, iters)]."""
+        """Fast-path traffic accounting for one wave; ``v0``/``h0``/``iters``
+        are its ``(chunk, lane)`` matrices."""
         raise NotImplementedError
 
 
@@ -570,9 +635,8 @@ class VecExtendKernel(ExtendKernel):
     def cost_model(self, machine):
         return ExtendCostModel(machine.system)
 
-    def account_memory(self, machine, chunk_mem, total_iters):
-        for v0, h0, iters in chunk_mem:
-            account_extend_memory(machine, self.pbuf, self.tbuf, v0, h0, iters)
+    def account_memory(self, machine, v0, h0, iters, total_iters):
+        account_extend_memory(machine, self.pbuf, self.tbuf, v0, h0, iters)
 
 
 def extend_chunks(
@@ -647,23 +711,23 @@ def extend_chunks_gen(
     if cost_model is None:
         cost_model = kernel.cost_model(machine)
     p_codes, t_codes = kernel.codes()
-    series = []
-    chunk_mem = []
-    results = []
-    for v, h, valid in chunks:
-        runs, iters, v0, h0 = lane_iterations(
-            p_codes, t_codes, v, h, valid, m_len, n_len, kernel.window
-        )
-        series.append(active_counts(iters))
-        chunk_mem.append((v0, h0, iters))
-        new_h = np.where(valid.data, h.data + runs, h.data)
-        results.append((new_h, runs))
-    total = account_wave_extend(machine, cost_model, series)
-    kernel.account_memory(machine, chunk_mem, total)
+    # The whole wave as (chunk, lane) matrices; callers pass equal-width
+    # chunks.
+    valid = np.array([a.data for _v, _h, a in chunks])
+    h = np.array([hc.data for _v, hc, _a in chunks])
+    v0 = np.where(valid, np.array([vc.data for vc, _h, _a in chunks]), 0)
+    h0 = np.where(valid, h, 0)
+    runs = run_lengths(p_codes, t_codes, v0, h0, valid)
+    bounds = np.minimum(m_len - v0, n_len - h0)
+    entered = valid & (v0 < m_len) & (h0 < n_len)
+    iters = window_iterations(runs, bounds, entered, kernel.window)
+    total = account_wave_extend(machine, cost_model, iters)
+    kernel.account_memory(machine, v0, h0, iters, total)
+    new_h = np.where(valid, h + runs, h)
     # The last iteration's arithmetic tail is still in flight when the
     # accounting block ends; consumers (the wavefront stores) wait for it.
     ready = machine.clock + 2 * machine.system.lat_vector_arith
+    category = cost_model.stall_category
     return [
-        (VReg(new_h, 64, ready, category=cost_model.stall_category), runs)
-        for new_h, runs in results
+        (VReg._wrap(row, 64, ready, category), r) for row, r in zip(new_h, runs)
     ]

@@ -14,8 +14,9 @@ reports the tree shape: compiled depth, side-exit count and the share
 of exits served by a compiled child trace.  When the replay JIT emitted
 kernels inside the window, a codegen segment reports the backend that
 ran, the compile-vs-run wall-time split (``compile_s`` vs
-``kernel_run_s``, with the memory-hierarchy simulation share
-``mem_model_s`` broken out), kernel-cache traffic, fallback downgrades,
+``kernel_run_s``, with the memory-hierarchy simulation time
+``mem_model_s`` broken out as a share of wall time), kernel-cache
+traffic, fallback downgrades,
 and arena growth.  The point is a stable
 baseline for future perf work — the numbers land in one place instead of
 being re-derived ad hoc.
@@ -87,10 +88,14 @@ class ExperimentTiming:
 
     @property
     def mem_model_share(self) -> float:
-        """Share of kernel run time spent inside the memory hierarchy."""
+        """Share of the experiment's wall time spent inside the memory
+        hierarchy.
+
+        The memory-model clock also runs outside replay kernels (the
+        interpreter's indexed accesses, the fleet's serial fallback), so
+        it is a share of wall time, never of ``kernel_run_s``."""
         r = self.replay or {}
-        run = r.get("kernel_run_s", 0.0)
-        return r.get("mem_model_s", 0.0) / run if run else 0.0
+        return r.get("mem_model_s", 0.0) / self.seconds if self.seconds else 0.0
 
     @property
     def memvec_replay_rate(self) -> float:
@@ -159,7 +164,7 @@ class ExperimentTiming:
                 f"arena +{replay.get('arena_bytes', 0) / 1024:.0f} KiB, "
                 f"kernels {replay.get('kernel_run_s', 0.0):.2f}s run "
                 f"(mem model {replay.get('mem_model_s', 0.0):.2f}s, "
-                f"{self.mem_model_share:.0%} of run)"
+                f"{self.mem_model_share:.0%} of wall)"
                 if replay.get("backends")
                 or replay.get("kernel_cache_hits", 0)
                 or replay.get("kernel_compiles", 0)

@@ -893,7 +893,7 @@ _FLEET_HELPERS = {
     "np": np,
     "_wh": np.where,
     "_mx": np.maximum,
-    "_any": np.any,
+    "_any": np.count_nonzero,  # store range guard; see program._compile
     "_ar": np.arange,
     "_vc": _vc,
     "_cl": _cl,

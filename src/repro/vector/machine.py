@@ -840,7 +840,7 @@ class VectorMachine:
             idx = np.arange(start, start + n)
             active = pred.data if pred is not None else np.ones(n, dtype=bool)
             in_range = active & (idx >= 0) & (idx < len(buf.data))
-            if np.any(active & ~in_range & (idx >= len(buf.data))):
+            if np.count_nonzero(active & ~in_range & (idx >= len(buf.data))):
                 raise MachineError(
                     f"store out of range on buffer {buf.name!r}"
                 )

@@ -756,7 +756,9 @@ def _compile(
         "np": np,
         "_dd": defaultdict,
         "_wh": np.where,
-        "_any": np.any,
+        # The store range guard: count_nonzero is one C call, where
+        # np.any goes through NumPy's Python-level reduction wrapper.
+        "_any": np.count_nonzero,
         "_ar": np.arange,
         "_i64": np.int64,
         "_zi64": lambda n: np.zeros(n, dtype=np.int64),

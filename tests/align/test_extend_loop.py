@@ -9,7 +9,6 @@ from repro.align.vectorized.extend_loop import (
     ExtendCostModel,
     VEC_WINDOW,
     VecExtendKernel,
-    active_counts,
     extend_chunks,
     vec_extend,
     window_iterations,
@@ -85,20 +84,6 @@ class TestIterationMath:
             np.array([5]), np.array([10]), np.array([False]), 8
         )
         assert iters.tolist() == [0]
-
-    def test_active_counts(self):
-        iters = np.array([0, 1, 3, 3])
-        counts = active_counts(iters)
-        assert counts.tolist() == [3, 2, 2]
-
-    def test_active_counts_empty(self):
-        assert active_counts(np.array([0, 0])).size == 0
-
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_active_counts_sum_equals_total_iters(self, iters):
-        arr = np.asarray(iters)
-        assert active_counts(arr).sum() == arr.sum()
 
     @given(
         st.lists(st.integers(0, 50), min_size=1, max_size=8),

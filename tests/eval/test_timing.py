@@ -96,6 +96,23 @@ class TestReplayWindow:
             pass
         assert record.replay_hit_rate == 0.0
 
+    def test_mem_model_share_is_of_wall_time(self):
+        # The memory-model clock also runs outside kernels (interpreter
+        # indexed accesses, fleet fallback), so it can exceed the kernel
+        # run time; its share is of the experiment's wall time.
+        record = timing.ExperimentTiming(
+            name="mem-share",
+            seconds=0.4,
+            replay={
+                "kernel_compiles": 1,
+                "kernel_run_s": 0.01,
+                "mem_model_s": 0.023,
+            },
+        )
+        assert record.mem_model_share == 0.023 / 0.4
+        assert "(mem model 0.02s, 6% of wall)" in record.summary()
+        assert timing.ExperimentTiming(name="idle").mem_model_share == 0.0
+
 
 class TestMeterReset:
     """Regression tests for the per-run replay-meter reset.

@@ -12,12 +12,15 @@ harness: fleet-of-N stats must equal N independent single-pair runs,
 per pair, for randomized programs.
 """
 
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.errors import MachineError
 from repro.vector.fleet import drive_fleet, drive_serial, session_step
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER, ReplaySession
@@ -261,6 +264,65 @@ class TestFallbacks:
             s.inb = m.cmp("lt", s.v, 1 << 50, pred=s.inb)
 
         assert_fleet_identical(body, n_pairs=1, expect_fused=False)
+
+
+# ----------------------------------------------------------------------
+# Store range guard
+# ----------------------------------------------------------------------
+class TestStoreRangeGuard:
+    """A masked store whose active lanes reach past the buffer end raises
+    ``MachineError`` in the interpreter, in a replayed kernel and in a
+    fleet-fused kernel alike.  The store sits half a vector before the
+    end with two lanes on; one more lane turns on per iteration, so the
+    fourth iteration (a replayed one) stores past the end and must
+    raise."""
+
+    @staticmethod
+    def _fiber(row):
+        def fiber():
+            m = VectorMachine(SystemConfig())
+            lanes = m.lanes(64)
+            buf = m.new_buffer("g", np.zeros(64, dtype=np.int64), elem_bytes=8)
+            start = len(buf.data) - lanes // 2
+
+            def body(mm, st):
+                mm.store(buf, start, st.v, pred=st.inb)
+                st.h = mm.add(st.h, 1)
+                st.inb = mm.cmp("lt", mm.iota(64), st.h)
+
+            st = S()
+            st.v = m.from_values(np.arange(lanes) + row, 64)
+            st.h = m.dup(lanes // 2 - 2, ebits=64)
+            st.inb = m.cmp("lt", m.iota(64), st.h)
+            session = ReplaySession(m, body)
+            for _ in range(8):
+                yield session_step(session, st)
+            return buf.data.tolist()
+
+        return fiber()
+
+    @staticmethod
+    def _raised_in(excinfo) -> "set[str]":
+        return {
+            frame.f_code.co_filename
+            for frame, _ in traceback.walk_tb(excinfo.tb)
+        }
+
+    def test_interpreter_raises(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", False)
+            with pytest.raises(MachineError, match="store out of range"):
+                drive_serial(self._fiber(0))
+
+    def test_replayed_kernel_raises(self):
+        with pytest.raises(MachineError, match="store out of range") as exc:
+            drive_serial(self._fiber(0))
+        assert "<recorded-program>" in self._raised_in(exc)
+
+    def test_fused_kernel_raises(self):
+        with pytest.raises(MachineError, match="store out of range") as exc:
+            drive_fleet([self._fiber(row) for row in range(3)])
+        assert "<fleet-program>" in self._raised_in(exc)
 
 
 # ----------------------------------------------------------------------
