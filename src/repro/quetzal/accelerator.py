@@ -129,7 +129,7 @@ class QuetzalUnit:
                 f"sequence of {len(seq)} symbols exceeds QBUFFER capacity {cap}"
             )
         m = self.machine
-        name = f"seq:{sel}:{id(seq) & 0xFFFF}"
+        name = f"seq:{sel}:{m.name_uid('seq')}"
         src = m.new_buffer(name, seq.hw_codes if ebits == 8 else
                            np.frombuffer(str(seq).encode("ascii"), dtype=np.uint8),
                            elem_bytes=1)

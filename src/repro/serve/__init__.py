@@ -11,8 +11,9 @@ the same engines into a request/response service:
   batches (same-implementation requests fuse through
   :func:`repro.vector.fleet.drive_fleet`), with a max-wait flush timer
   bounding latency under low load.
-* :mod:`repro.serve.engine` — supervise-style batch execution: worker
-  processes with timeout/retry/crash classification, an fsync'd journal
+* :mod:`repro.serve.engine` — supervise-style batch execution: one
+  persistent worker process serving batch after batch, replaced after
+  a crash or timeout and the batch retried, an fsync'd journal
   (reusing :class:`repro.eval.supervise.RunJournal`) so completed
   requests survive worker death and server restarts, and deterministic
   fault injection via the same ``--fault-plan`` grammar.

@@ -42,7 +42,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="python -m repro serve",
         description="Async alignment service: JSONL requests in, "
         "bit-identical-to-batch responses out, with per-tenant admission "
-        "control, fleet coalescing, and crash-isolated workers.",
+        "control, fleet coalescing, and a crash-isolated worker process.",
     )
     transport = parser.add_argument_group("transport (pick one)")
     transport.add_argument(
@@ -91,8 +91,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     execution = parser.add_argument_group("execution")
     execution.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="run each batch attempt in a worker process (N>=1, crash-"
-        "isolated) or inline in the server process (0); default 1",
+        help="0 (inline, in the server process) or 1 (one persistent, "
+        "crash-isolated worker process that serves every batch and is "
+        "replaced after a failed attempt); default 1",
     )
     execution.add_argument(
         "--fleet", type=int, default=4, metavar="N",

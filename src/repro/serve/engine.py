@@ -5,13 +5,17 @@ The engine takes one coalesced batch (requests sharing a
 one response record per request, in order.  Execution mirrors
 :mod:`repro.eval.supervise`:
 
-* **Worker isolation.**  Each batch attempt runs in its own forked
-  worker process (``workers`` mode) so a crash — real or injected —
-  kills the worker, never the server.  The parent classifies the death
-  (``signal:SIGKILL``, ``exit:N``, ``timeout``, ``exception:...``) and
-  retries with exponential backoff up to the retry budget; exhaustion
-  turns every request of the batch into an explicit ``status: "error"``
-  response instead of a hang.
+* **Worker isolation.**  With ``workers=1`` batches run in one
+  persistent worker process, forked on the first batch attempt and
+  reused for every later batch until it dies, so a crash — real or
+  injected — kills the worker, never the server.  A failed attempt is
+  classified (``signal:SIGKILL``, ``exit:N``, ``timeout``,
+  ``exception:...``), the worker is reaped, and the batch is retried on
+  a fresh worker with exponential backoff up to the retry budget;
+  exhaustion turns every request of the batch into an explicit
+  ``status: "error"`` response instead of a hang.  The worker exits
+  when the engine closes (:meth:`ServeEngine.close`, or a finalizer
+  for an engine that is never closed) and when its parent dies.
 * **Journal.**  Completed requests are recorded to an fsync'd
   :class:`~repro.eval.supervise.RunJournal` (one single-pair
   :class:`~repro.eval.runner.RunResult` per request, keyed by the
@@ -30,18 +34,21 @@ one response record per request, in order.  Execution mirrors
   zero exactly like a fresh CLI invocation.
 
 Inline mode (``workers=0``) executes batches in-process — no fork, no
-timeout enforcement — for fast tests and the conformance grid; injected
-``kill``/``hang`` faults degrade to retryable exceptions there because
-there is no worker to sacrifice.
+timeout enforcement — for fast tests, the conformance grid and
+``repro bench --only serve``; injected ``kill``/``hang`` faults degrade
+to retryable exceptions there because there is no worker to sacrifice.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
 import time
+import weakref
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from repro.errors import ServeError
 from repro.eval import timing
@@ -63,7 +70,8 @@ def _toggles_snapshot() -> tuple:
     """Capture the process-global execution-path toggles for a worker.
 
     Fork already inherits them; re-applying makes the worker correct
-    under a spawn start method too.
+    under a spawn start method too.  A worker started under another
+    snapshot is replaced before it runs a batch.
     """
     from repro.memory.hierarchy import MemoryHierarchy
     from repro.vector.machine import VectorMachine
@@ -113,11 +121,25 @@ def compute_batch(requests: "list[AlignRequest]", fleet: int) -> list:
     return result.pair_results
 
 
-def _batch_worker_main(
-    conn, requests, ordinal, attempt, fleet, toggles, fault_spec, cache_dir
+def _worker_main(
+    conn, parent_end, fleet, toggles, fault_spec, cache_dir
 ) -> None:  # pragma: no cover — runs in a child process
-    """Entry point of one serve worker process (one batch, one attempt)."""
+    """Entry point of the persistent serve worker.
+
+    Answers each ``(requests, ordinal, attempt)`` message with ``("ok",
+    pair_results)`` until the pipe closes or the parent dies.  A batch
+    that raises is answered with ``("error", reason)`` and ends the
+    worker, so every retry starts on a fresh process.
+    """
     try:
+        # Fork copies the parent's end of the pipe, its asyncio signal
+        # handlers and their wakeup socket: drop them, so EOF reaches a
+        # worker whose parent is gone and SIGTERM ends the worker
+        # instead of draining the server.
+        parent_end.close()
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         from repro.cache import CALIBRATION, configure_from_env
 
         configure_from_env(default_disk=False)
@@ -125,9 +147,15 @@ def _batch_worker_main(
             CALIBRATION.enable_disk(cache_dir)
         _apply_toggles(toggles)
         plan = FaultPlan.parse(fault_spec)
-        if plan is not None:
-            _trigger_in_worker(plan.lookup(ordinal, attempt))
-        conn.send(("ok", compute_batch(requests, fleet)))
+        watched = [conn, multiprocessing.parent_process().sentinel]
+        while conn in wait(watched):
+            try:
+                requests, ordinal, attempt = conn.recv()
+            except EOFError:
+                break
+            if plan is not None:
+                _trigger_in_worker(plan.lookup(ordinal, attempt))
+            conn.send(("ok", compute_batch(requests, fleet)))
     except BaseException as exc:  # report, then die: nothing to salvage
         try:
             conn.send(("error", f"exception:{type(exc).__name__}: {exc}"))
@@ -137,14 +165,68 @@ def _batch_worker_main(
     os._exit(0)
 
 
+def _stop_worker(proc, conn) -> "int | None":
+    """Kill and reap one worker; returns its exit code.
+
+    Killing is safe: the worker holds no state the parent needs, and a
+    hung one would never exit by itself.
+    """
+    conn.close()
+    proc.kill()
+    proc.join()
+    code = proc.exitcode
+    proc.close()
+    return code
+
+
+def _classify_exit(code: "int | None") -> str:
+    """Failure reason for a worker that died without reporting."""
+    if code is not None and code < 0:
+        try:
+            return f"signal:{signal.Signals(-code).name}"
+        except ValueError:
+            return f"signal:{-code}"
+    return f"exit:{code}"
+
+
+class _Worker:
+    """The persistent worker process and the parent's end of its pipe."""
+
+    def __init__(self, engine: "ServeEngine", toggles: tuple) -> None:
+        from repro.cache import CALIBRATION
+        from repro.eval.parallel import _pool_context
+
+        config = engine.config
+        ctx = _pool_context()
+        cache_dir = (
+            str(CALIBRATION.directory) if CALIBRATION.disk_enabled else None
+        )
+        fault_spec = config.fault_plan.to_spec() if config.fault_plan else None
+        self.toggles = toggles
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_worker_main,
+            args=(
+                child, self.conn, config.fleet, toggles, fault_spec, cache_dir,
+            ),
+            daemon=True,
+        )
+        self.proc.start()
+        child.close()
+        # Called once: on close(), on a failed attempt, or when the
+        # engine is collected or the interpreter exits unclosed.
+        self.stop = weakref.finalize(engine, _stop_worker, self.proc, self.conn)
+
+
 @dataclass(frozen=True)
 class ServeEngineConfig:
     """Execution policy for the serve engine.
 
-    ``workers=0`` selects inline (in-process) execution; any positive
-    value selects one worker process per batch attempt.  ``fleet`` is
-    the lockstep width batches advance at (>= 1; results are identical
-    at every width).  ``journal_dir=None`` disables the journal.
+    ``workers=0`` selects inline (in-process) execution, ``workers=1``
+    one persistent worker process (the server runs one batch at a time,
+    so more workers would idle).  ``fleet`` is the lockstep width
+    batches advance at (>= 1; results are identical at every width).
+    ``journal_dir=None`` disables the journal.
     """
 
     workers: int = 1
@@ -156,8 +238,10 @@ class ServeEngineConfig:
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ServeError(f"workers must be >= 0: {self.workers}")
+        if self.workers not in (0, 1):
+            raise ServeError(
+                f"workers must be 0 (inline) or 1: {self.workers}"
+            )
         if self.fleet < 1:
             raise ServeError(f"fleet width must be >= 1: {self.fleet}")
         if self.timeout <= 0:
@@ -184,7 +268,9 @@ class ServeEngine:
         self.restored = 0
         self.errors = 0
         self.retries = 0
+        self.worker_starts = 0
         self.classifications: "list[str]" = []
+        self._worker: "_Worker | None" = None
 
     # -- public entry --------------------------------------------------
     def execute_batch(self, requests: "list[AlignRequest]") -> "list[dict]":
@@ -218,14 +304,14 @@ class ServeEngine:
                     responses[i] = error_record(request, outcome)
             else:
                 for (i, request, fingerprint), pair_result in zip(todo, outcome):
-                    single = RunResult(
-                        name=request.impl,
-                        system=request.system(),
-                        pair_results=[pair_result],
-                    )
                     if self.journal is not None:
+                        single = RunResult(
+                            name=request.impl,
+                            system=request.system(),
+                            pair_results=[pair_result],
+                        )
                         self.journal.record(fingerprint, single)
-                    self._restored[fingerprint] = single
+                        self._restored[fingerprint] = single
                     self.completed += 1
                     responses[i] = response_record(request, pair_result)
         return responses  # type: ignore[return-value]
@@ -237,8 +323,15 @@ class ServeEngine:
             "restored": self.restored,
             "errors": self.errors,
             "retries": self.retries,
+            "worker_starts": self.worker_starts,
             "classifications": list(self.classifications),
         }
+
+    def close(self) -> None:
+        """Stop the persistent worker, if one is running."""
+        if self._worker is not None:
+            self._worker.stop()
+            self._worker = None
 
     # -- supervised execution ------------------------------------------
     def _run_supervised(self, requests, ordinal: int):
@@ -282,53 +375,33 @@ class ServeEngine:
             return f"exception:{type(exc).__name__}: {exc}"
 
     def _attempt_in_worker(self, requests, ordinal: int, attempt: int):
-        """One attempt in a fresh worker process, with classification."""
-        from repro.cache import CALIBRATION
-        from repro.eval.parallel import _pool_context
+        """One attempt on the persistent worker, with classification.
 
-        ctx = _pool_context()
-        cache_dir = (
-            str(CALIBRATION.directory) if CALIBRATION.disk_enabled else None
-        )
-        fault_spec = (
-            self.config.fault_plan.to_spec() if self.config.fault_plan else None
-        )
-        parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_batch_worker_main,
-            args=(
-                child, list(requests), ordinal, attempt,
-                self.config.fleet, _toggles_snapshot(), fault_spec, cache_dir,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
+        The worker is started on first use, and replaced when it has
+        died or the execution-path toggles changed since it started.
+        Any failure retires it, so a retry runs on a fresh process.
+        """
+        toggles = _toggles_snapshot()
+        worker = self._worker
+        if worker is not None and (
+            worker.toggles != toggles or not worker.proc.is_alive()
+        ):
+            self.close()
+            worker = None
+        if worker is None:
+            worker = self._worker = _Worker(self, toggles)
+            self.worker_starts += 1
         try:
-            if not parent.poll(self.config.timeout):
-                if proc.is_alive():
-                    proc.kill()
+            worker.conn.send((list(requests), ordinal, attempt))
+            if not worker.conn.poll(self.config.timeout):
+                self.close()
                 return "timeout"
-            try:
-                kind, payload = parent.recv()
-            except (EOFError, OSError, pickle.UnpicklingError):
-                # The worker died without reporting: classify its end.
-                proc.join()
-                code = proc.exitcode
-                if code is not None and code < 0:
-                    try:
-                        sig = signal.Signals(-code).name
-                    except ValueError:
-                        sig = str(-code)
-                    return f"signal:{sig}"
-                return f"exit:{code}"
-            if kind == "ok":
-                return payload
-            return str(payload)
-        finally:
-            try:
-                parent.close()
-            except OSError:
-                pass
-            proc.join()
-            proc.close()
+            kind, payload = worker.conn.recv()
+        except (EOFError, OSError, pickle.UnpicklingError):
+            # The worker died without reporting: classify its end.
+            self._worker = None
+            return _classify_exit(worker.stop())
+        if kind == "ok":
+            return payload
+        self.close()  # it exits after reporting an exception
+        return str(payload)

@@ -3,7 +3,8 @@
 One :class:`AlignmentServer` owns the full request path::
 
     socket line -> parse_request -> AdmissionController -> Coalescer
-        -> ServeEngine (executor thread -> worker process) -> response line
+        -> ServeEngine (executor thread -> persistent worker process)
+        -> response line
 
 Responses stream back **in arrival order per connection**: every
 ingested line immediately gets a future slotted into the connection's
@@ -15,14 +16,18 @@ exactly like independent HTTP clients.
 The coalescer flush timer runs as a single task that sleeps until the
 oldest pending request's deadline — an idle server burns no CPU.  Batch
 execution happens on a one-thread executor (the engine's meters and
-class toggles are process-global, so batches serialize in the parent;
-worker processes still isolate crashes), keeping the event loop free to
-accept and answer.
+class toggles are process-global, so batches serialize in the parent),
+keeping the event loop free to accept and answer.  The executor hands
+each batch to the engine's one persistent worker process, which
+isolates crashes and keeps its warmed caches from batch to batch.
+Because that worker holds forked copies of the server's sockets, a
+finished connection is half-closed before it is closed, so the client
+sees EOF.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: admission closes
 (late requests get ``status: "rejected", reason: "draining"``), every
 coalesced request is flushed and executed, in-flight responses are
-delivered, and only then does the listener close.
+delivered, the listener closes, and the worker is stopped.
 """
 
 from __future__ import annotations
@@ -151,6 +156,7 @@ class AlignmentServer:
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=True)
+        self.engine.close()
 
     def counters(self) -> dict:
         """Operational counters across admission, engine, and transport."""
@@ -216,6 +222,13 @@ class AlignmentServer:
         finally:
             await queue.put(None)
             await responder
+            # Half-close first: the worker may hold a forked copy of this
+            # socket, and then close() alone would never reach the client.
+            try:
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except (OSError, ConnectionError):
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -321,6 +334,9 @@ class _StdoutWriter:
 
     def write(self, data: bytes) -> None:
         sys.stdout.buffer.write(data)
+
+    def can_write_eof(self) -> bool:
+        return False
 
     async def drain(self) -> None:
         sys.stdout.buffer.flush()

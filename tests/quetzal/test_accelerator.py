@@ -82,6 +82,28 @@ class TestSequenceStaging:
         assert delta.instructions["qbuffer"] == 4  # 256 chars / 64 per vector
         assert delta.instructions["memory"] == 4
 
+    def test_staging_buffers_do_not_depend_on_object_identity(self, monkeypatch):
+        """Staged buffers are named by the machine, not by where the
+        sequence object lives, so their prefetch stream ids (derived
+        from the name) are equal for equal content on fresh machines."""
+        staged = []
+        new_buffer = VectorMachine.new_buffer
+
+        def recording(self, name, *args, **kwargs):
+            buf = new_buffer(self, name, *args, **kwargs)
+            staged[-1].append((buf.name, buf.default_sid))
+            return buf
+
+        monkeypatch.setattr(VectorMachine, "new_buffer", recording)
+        live = [Sequence("ACGTTGCA" * 24), Sequence("ACGTTGCA" * 24)]
+        for seq in live:
+            m, qz = fresh()
+            staged.append([])
+            qz.load_sequence(0, seq)
+            qz.load_sequence(1, seq)
+        assert staged[0] == staged[1]
+        assert len(set(staged[0])) == 2
+
 
 class TestLoadStore:
     def test_qzstore_then_qzload(self):

@@ -13,6 +13,11 @@ error rates, so fleet rows retire mid-group), with the request stream
 mixing two implementations and two tenants — the coalescer must keep
 the configurations apart while the identity holds per request.
 
+The grid runs inline (``workers=0``).  The worker cells run the path
+``repro serve`` takes by default: one persistent worker process
+(``workers=1``) serving a stream that cycles through every offered
+implementation, batch after batch, all on the worker it started with.
+
 A separate test pins the arrival-order streaming contract: on one
 connection, responses come back in exactly the order the requests were
 sent, across coalesced batches and implementations.
@@ -53,8 +58,14 @@ def divergent_pairs():
     return tuple(out)
 
 
+#: Every implementation the service offers.
+MIXED_IMPLS = ("wfa-vec", "ss-vec", "biwfa-vec", "ksw-qz")
+
+
 def make_requests(kind):
     """Alternating implementations and tenants over one batch."""
+    if kind == "mixed":
+        return mixed_requests()
     batch = standard_pairs() if kind == "standard" else divergent_pairs()
     return [
         AlignRequest(
@@ -66,6 +77,21 @@ def make_requests(kind):
         )
         for i, pair in enumerate(batch)
     ]
+
+
+def mixed_requests(count=40):
+    """Both pair kinds under every implementation: each pass over the
+    pairs shifts the implementation, so no pair repeats one."""
+    pairs = standard_pairs() + divergent_pairs()
+    out = []
+    for i in range(count):
+        pair = pairs[i % len(pairs)]
+        impl = MIXED_IMPLS[(i + i // len(pairs)) % len(MIXED_IMPLS)]
+        out.append(AlignRequest(
+            id=f"m{i:03d}", tenant=f"t{i % 2}", impl=impl,
+            pattern=str(pair.pattern), text=str(pair.text),
+        ))
+    return out
 
 
 _references: dict = {}
@@ -96,7 +122,9 @@ def run_server(requests, fleet, sock, rate=500.0, **config_overrides):
         server = AlignmentServer(ServeConfig(**settings))
         await server.start()
         try:
-            report = await open_loop(sock, requests, rate=rate)
+            report = await asyncio.wait_for(
+                open_loop(sock, requests, rate=rate), timeout=120
+            )
         finally:
             await server.drain()
         return report, server.counters()
@@ -154,3 +182,22 @@ def test_identity_survives_tiny_batches_and_zero_wait(tmp_path):
     )
     assert report.dropped == 0 and report.errors == 0
     assert {rid: report.lines[rid] for rid in expected} == expected
+
+
+@pytest.mark.parametrize("max_batch", (1, 2), ids=lambda n: f"max_batch{n}")
+def test_one_worker_serves_every_batch_byte_for_byte(tmp_path, max_batch):
+    """The default execution path: one persistent worker answers at
+    least 20 batches of mixed implementations, every byte equal to the
+    batch reference, without ever being replaced."""
+    requests = make_requests("mixed")
+    expected = reference_for("mixed")
+    report, counters = run_server(
+        requests, 4, str(tmp_path / "serve.sock"), max_batch=max_batch,
+        engine=ServeEngineConfig(workers=1, fleet=4),
+    )
+    assert report.dropped == 0 and report.errors == 0
+    assert {rid: report.lines.get(rid) for rid in expected} == expected
+    engine = counters["engine"]
+    assert engine["batches"] >= 20
+    assert engine["worker_starts"] == 1
+    assert engine["errors"] == 0 and engine["retries"] == 0
