@@ -157,6 +157,7 @@ class ExperimentTiming:
             )
             + (
                 f" | codegen[{replay.get('backend') or '?'}]: "
+                f"{replay.get('emissions', 0)} emissions, "
                 f"{replay.get('kernel_compiles', 0)} compiles "
                 f"({replay.get('compile_s', 0.0):.2f}s), "
                 f"{replay.get('kernel_cache_hits', 0)} kernel-cache hits, "

@@ -98,9 +98,13 @@ class CodegenMeter:
 
     ``backend`` is the name used by the most recent emit; ``backends``
     counts emits per backend name (a fallback emit counts under the
-    backend that actually ran).  ``compile_s`` accumulates wall time
-    spent lowering + compiling + binding — the compile half of the
-    compile-vs-run split the bench harness subtracts out.
+    backend that actually ran).  ``emissions`` counts full kernel
+    source emissions in :func:`repro.vector.program._compile` — one
+    per new block shape; captures of a known shape reuse its source
+    and are not counted.  ``compile_s`` accumulates wall time spent
+    lowering + compiling on a kernel-cache miss only: it excludes
+    binding, cache hits and the source emission — the compile half of
+    the compile-vs-run split the bench harness subtracts out.
     """
 
     __slots__ = (
@@ -110,6 +114,7 @@ class CodegenMeter:
         "kernel_cache_misses",
         "kernel_compiles",
         "backend_fallbacks",
+        "emissions",
         "compile_s",
     )
 
@@ -123,6 +128,7 @@ class CodegenMeter:
         self.kernel_cache_misses = 0
         self.kernel_compiles = 0
         self.backend_fallbacks = 0
+        self.emissions = 0
         self.compile_s = 0.0
 
 

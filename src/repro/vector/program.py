@@ -31,19 +31,29 @@ Scalar parameters (the DP kernels' diagonal/offset/count) are threaded
 through as :class:`SymInt` values: plain ints during the capture run,
 linear expressions over the replay-time parameter tuple in the compiled
 code.
+
+Captured programs live on per-pair objects, so the same block is
+captured again for every pair.  The kernel source is therefore emitted
+once per *block shape* (:class:`_Shape`: everything the emitter reads —
+op structure, inlined constants, slot layout, regime, latencies, loop
+flag, backend) and kept in a bounded table; every later capture of that
+shape only binds its own values (buffers, baked constants, stream ids,
+externals, the machine) into a fresh env and hands the shared source to
+the backend, whose memory and disk caches serve the code.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
 from time import perf_counter as _pc
 
 from repro.errors import MachineError
-from repro.vector.backends import KernelIR, resolve_backend
+from repro.vector.backends import CODEGEN_METER, KernelIR, resolve_backend
 from repro.vector.machine import (
     _BINOPS,
     _CMPOPS,
@@ -109,7 +119,6 @@ class ReplayMeter:
 
     def reset(self) -> None:
         from repro.memory.memvec import MEMVEC_METER
-        from repro.vector.backends import CODEGEN_METER
 
         # The codegen counters share the replay meter's window (the
         # parallel engine resets per run); the arena itself survives —
@@ -142,7 +151,7 @@ class ReplayMeter:
 
     def snapshot(self) -> dict:
         from repro.memory.memvec import MEMVEC_METER
-        from repro.vector.backends import ARENA, CODEGEN_METER
+        from repro.vector.backends import ARENA
 
         return {
             "memvec_pattern_hits": MEMVEC_METER.pattern_hits,
@@ -155,6 +164,7 @@ class ReplayMeter:
             "kernel_cache_hits": CODEGEN_METER.kernel_cache_hits,
             "kernel_cache_misses": CODEGEN_METER.kernel_cache_misses,
             "kernel_compiles": CODEGEN_METER.kernel_compiles,
+            "emissions": CODEGEN_METER.emissions,
             "backend_fallbacks": CODEGEN_METER.backend_fallbacks,
             "compile_s": CODEGEN_METER.compile_s,
             "arena_bytes": ARENA.nbytes,
@@ -718,6 +728,11 @@ class Recorder:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
+#: Emitted kernels by recording shape.  Bounded like the backends'
+#: in-memory kernel cache: cleared whole once it holds 256 shapes.
+_EMISSIONS: dict = {}
+
+
 def _compile(
     rec: Recorder,
     out_slots: list[int],
@@ -725,7 +740,7 @@ def _compile(
     spec: "frozenset | None" = None,
     loop: bool = False,
 ) -> "RecordedProgram":
-    """Emit one compiled function for the recorded block.
+    """Compile the recorded block into one replay function.
 
     ``specialize`` derives a predicate *regime* from the capture-entry
     values: every input predicate that entered all-true is assumed
@@ -742,55 +757,111 @@ def _compile(
     carried predicate drains (or the regime breaks), with the exact
     per-iteration scoreboard accounting compiled in and the
     loop-invariant external-register guard hoisted to trace entry.
+
+    The source is emitted once per :class:`_Shape` (metered on
+    ``CODEGEN_METER.emissions``); every capture binds its own values
+    into a fresh env and goes through ``backend.emit``, so kernel code
+    still comes from the backend's memory and disk caches.
     """
-    m = rec.machine
-    sys_ = m.system
-    lat_arith = sys_.lat_vector_arith
-    lat_pred = sys_.lat_predicate
-    l1_ltu = sys_.l1d.load_to_use
-    gather_base = sys_.lat_gather_base
-    load_extra = sys_.lat_vector_load_extra
-    mispredict = sys_.mispredict_penalty
+    backend = resolve_backend(getattr(rec.machine, "jit_backend", None))
+    shape = _shape(rec, out_slots, specialize, spec, loop, backend.name)
+    em = _EMISSIONS.get(shape)
+    if em is None:
+        em = _emit(shape)
+        CODEGEN_METER.emissions += 1
+        if len(_EMISSIONS) >= 256:
+            _EMISSIONS.clear()
+        _EMISSIONS[shape] = em
+    ir = KernelIR(em.head, em.body, em.tail, em.bind(rec), em.temps, loop,
+                  outs=em.outs)
+    fn = backend.emit(ir)
+    return RecordedProgram(
+        fn, len(shape.ops), ir.source, rec, out_slots, shape.spec,
+        backend=backend.name,
+    )
 
-    env = {
-        "np": np,
-        "_dd": defaultdict,
-        "_wh": np.where,
-        # The store range guard: count_nonzero is one C call, where
-        # np.any goes through NumPy's Python-level reduction wrapper.
-        "_any": np.count_nonzero,
-        "_ar": np.arange,
-        "_i64": np.int64,
-        "_zi64": lambda n: np.zeros(n, dtype=np.int64),
-        "_zu64": lambda n: np.zeros(n, dtype=np.uint64),
-        "_asai64": lambda x: np.asarray(x, dtype=np.int64),
-        "_clz": _clz_values,
-        "_full": _np_full_i64,
-        "_ctz": _ctz_values,
-        "_rbit": _rbit_values,
-        "_rg64": _raise_gather64_range,
-        "_oob": _store_oob,
-        "_vw": VReg._wrap,
-        "_pw": Pred._wrap,
-        "_occ": m._occ_lut,
-        "_mem": m.mem,
-        "_qz": m.quetzal,
-    }
-    for name, ufn in _BINOPS.items():
-        env[f"_b_{name}"] = ufn
-    for name, ufn in _CMPOPS.items():
-        env[f"_c_{name}"] = ufn
-    env.update(rec.env)
+
+class _Shape(NamedTuple):
+    """Everything the emitter reads about a recording, canonical and
+    hashable: two captures with equal shapes emit identical source.
+
+    Per-instance values are left out and bound per capture instead
+    (:meth:`_Emission.bind`): baked buffers and constant arrays (the
+    source names them ``xN``), binop/cmp scalar constants, load/store
+    buffer lengths and stream ids, external registers and their ready
+    stamps, and the machine's memory, QUETZAL unit and occupancy table.
+    """
+
+    backend: str
+    loop: bool
+    #: lat_vector_arith, lat_predicate, L1 load-to-use, lat_gather_base,
+    #: lat_vector_load_extra, mispredict_penalty.
+    latencies: tuple
+    #: Per op, its ``(field, value)`` items minus the bound fields.
+    ops: tuple
+    #: Recorder bakes before this emission: numbers the emitter's own.
+    nbaked: int
+    inputs: tuple
+    #: Per slot (the recorder numbers slots in creation order).
+    ebits: tuple
+    ispred: tuple
+    externals: tuple
+    out_slots: tuple
+    #: Input predicates used as op predicates, and the regime subset.
+    pall: frozenset
+    spec: frozenset
+    #: Whether the head checks the externals' ready bound (``_eg``).
+    ext_guard: bool
+    #: Per slot, ``(data shape, dtype)``; None for inputs and externals.
+    temps: tuple
+
+
+#: Op fields the source reaches through the env (``_kN``), never inlines.
+_BOUND_FIELDS = ("len", "sid")
+#: Op kinds with neither a scalar operand nor a bound field: their
+#: recorded items are already canonical.
+_PLAIN_KINDS = frozenset(
+    ("const", "rbit", "clz", "sel", "pbool", "qzload", "qzmhm")
+)
+
+
+def _op_shape(op: dict) -> tuple:
+    kind = op["kind"]
+    if kind in _PLAIN_KINDS or (
+        (kind == "binop" or kind == "cmp") and op["b"][0] == "s"
+    ):
+        return tuple(op.items())
+    items = []
+    for key, value in op.items():
+        if key in _BOUND_FIELDS:
+            continue
+        if type(value) is tuple:
+            if value[0] == "e":
+                value = ("e", value[1].src())
+            elif value[0] == "k" and key == "b":
+                # A binop/cmp scalar is baked, not inlined (see bsrc).
+                value = ("k",)
+        items.append((key, value))
+    return tuple(items)
+
+
+def _ext_bound(rec: Recorder, out_slots) -> int:
+    """Latest ready stamp among the externals the entry guard covers
+    (those not handed back as outputs); 0 when none is in flight."""
+    bound = 0
     for slot, reg in rec.externals:
-        env[f"e{slot}"] = reg
+        if slot not in out_slots and int(reg.ready) > bound:
+            bound = int(reg.ready)
+    return bound
 
-    instr = Counter()
-    busy = Counter()
-    dyn_mem = False
-    dyn_qz = False
-    used_as_pred = {op.get("p") for op in rec.ops if op.get("p") is not None}
-    input_preds = [s for s in rec.inputs if rec.ispred.get(s)]
-    pall = {s for s in input_preds if s in used_as_pred}
+
+def _shape(rec: Recorder, out_slots, specialize, spec, loop,
+           backend: str) -> _Shape:
+    sys_ = rec.machine.system
+    used_as_pred = {op.get("p") for op in rec.ops}
+    pall = frozenset(
+        s for s in rec.inputs if rec.ispred.get(s) and s in used_as_pred
+    )
     if spec is None:
         # Regime specialisation: the recorder kept the *entry* register
         # objects, so ``keep[s].data`` still holds each input
@@ -802,6 +873,104 @@ def _compile(
         )
     else:
         spec = frozenset(spec) & pall
+    externals = tuple(slot for slot, _reg in rec.externals)
+    fixed = set(rec.inputs).union(externals)
+    temps = []
+    for slot, reg in enumerate(rec.keep):
+        data = None if slot in fixed else getattr(reg, "data", None)
+        temps.append(None if data is None else (data.shape, data.dtype))
+    return _Shape(
+        backend,
+        loop,
+        (sys_.lat_vector_arith, sys_.lat_predicate, sys_.l1d.load_to_use,
+         sys_.lat_gather_base, sys_.lat_vector_load_extra,
+         sys_.mispredict_penalty),
+        tuple(_op_shape(op) for op in rec.ops),
+        rec._nbaked,
+        tuple(rec.inputs),
+        tuple(rec.ebits.values()),
+        tuple(rec.ispred.values()),
+        externals,
+        tuple(out_slots),
+        pall,
+        spec,
+        _ext_bound(rec, out_slots) > 0,
+        tuple(temps),
+    )
+
+
+class _Emission(NamedTuple):
+    """One emitted kernel source and its binding plan.
+
+    ``kbinds`` lists ``(env name, op index, op field)`` for the bound
+    op fields; ``bakes`` the emitter's own bakes in emission order —
+    ``("scalar", k)`` for op ``k``'s binop/cmp constant, ``("mask", n)``
+    for an all-true rcount mask.  :meth:`bind` re-bakes them into the
+    recorder (``rec.env`` stays what a full emission would leave, which
+    the fleet compiler reads) under the names the source uses.
+    """
+
+    head: list
+    body: list
+    tail: list
+    temps: dict
+    outs: frozenset
+    out_slots: tuple
+    kbinds: tuple
+    bakes: tuple
+    #: Whether the source checks ``_eg``, and whether it calls ``_cnt``.
+    guard: bool
+    cnt: bool
+
+    def bind(self, rec: Recorder) -> dict:
+        """A fresh env holding ``rec``'s values under the source's names."""
+        m = rec.machine
+        env = dict(_BASE_ENV)
+        env["_occ"] = m._occ_lut
+        env["_mem"] = m.mem
+        env["_qz"] = m.quetzal
+        ops = rec.ops
+        for kind, arg in self.bakes:
+            if kind == "scalar":
+                rec._bake(np.int64(ops[arg]["b"][1]))
+            else:
+                rec._bake(np.ones(arg, dtype=bool))
+        env.update(rec.env)
+        for slot, reg in rec.externals:
+            env[f"e{slot}"] = reg
+        for name, k, field in self.kbinds:
+            env[name] = ops[k][field]
+        if self.guard:
+            # The guard bound goes through the env, not the source text:
+            # ready stamps vary run to run, and an inlined int would
+            # defeat the shared bytecode cache for equal-shape blocks.
+            env["_eg"] = _ext_bound(rec, self.out_slots)
+        if self.cnt:
+            env["_cnt"] = _count_matches()
+        return env
+
+
+def _emit(shape: _Shape) -> _Emission:
+    """Emit the kernel source for one recording shape (see
+    :func:`_compile`).  Reads nothing but ``shape``, so every value
+    that shapes the source is part of the table key."""
+    lat_arith, lat_pred, l1_ltu, gather_base, load_extra, mispredict = (
+        shape.latencies
+    )
+    ops = [dict(items) for items in shape.ops]
+    inputs = shape.inputs
+    out_slots = shape.out_slots
+    pall = shape.pall
+    spec = shape.spec
+    loop = shape.loop
+    kbinds: list = []
+    bakes: list = []
+    cnt = False
+
+    instr = Counter()
+    busy = Counter()
+    dyn_mem = False
+    dyn_qz = False
 
     L: list[str] = []
     I = "    "
@@ -810,15 +979,20 @@ def _compile(
         L.append(I * depth + line)
 
     def ssrc(sv) -> str:
-        return str(sv[1]) if sv[0] == "k" else sv[1].src()
+        return str(sv[1]) if sv[0] == "k" else sv[1]
 
-    def bsrc(sv) -> str:
+    def bake(kind, arg) -> str:
+        name = f"x{shape.nbaked + len(bakes)}"
+        bakes.append((kind, arg))
+        return name
+
+    def bsrc(sv, k: int) -> str:
         """Scalar operand of a binop/cmp, matching np.int64(b) in serial."""
         if sv[0] == "s":
             return f"d{sv[1]}"
         if sv[0] == "k":
-            return rec._bake(np.int64(sv[1]))
-        return f"_i64({sv[1].src()})"
+            return bake("scalar", k)
+        return f"_i64({sv[1]})"
 
     # ------------------------------------------------------------------
     # Timing emission with compile-time constant folding.
@@ -844,7 +1018,7 @@ def _compile(
     # ------------------------------------------------------------------
     last_use: dict = {}
     consumers: dict = {}
-    for k, op in enumerate(rec.ops):
+    for k, op in enumerate(ops):
         for key in ("a", "b", "i", "v", "p"):
             v = op.get(key)
             if isinstance(v, tuple) and v and v[0] == "s":
@@ -853,7 +1027,7 @@ def _compile(
                 last_use[v] = k
                 consumers.setdefault(v, []).append((op, key))
     out_set = set(out_slots)
-    BIG = len(rec.ops) + 1
+    BIG = len(ops) + 1
     for slot in out_set:
         last_use[slot] = BIG
 
@@ -870,8 +1044,8 @@ def _compile(
     # ------------------------------------------------------------------
     _MERGING = ("binop", "cmp", "rbit", "clz")
     lanes_dead: dict = {}
-    for k in range(len(rec.ops) - 1, -1, -1):
-        op = rec.ops[k]
+    for k in range(len(ops) - 1, -1, -1):
+        op = ops[k]
         o = op.get("o")
         if o is None or op.get("p") is None or op["kind"] not in _MERGING:
             continue
@@ -906,26 +1080,20 @@ def _compile(
     # block entry — only possible immediately after capture — the
     # program declines (returns None) and the caller interprets that
     # iteration instead.
-    ext_guard = 0
     guarded_ext: set = set()
-    for slot, reg in rec.externals:
+    for slot in shape.externals:
         if slot in out_set:
             continue
         guarded_ext.add(slot)
         absorbed.add(slot)
-        if int(reg.ready) > ext_guard:
-            ext_guard = int(reg.ready)
 
-    nk = [0]
-
-    def kbake(v) -> str:
-        """Pass a per-instance int (stream ids, addresses) through the
-        env under a position-deterministic name, keeping the generated
-        source identical across structurally equal blocks so the shared
-        bytecode cache can hit."""
-        name = f"_k{nk[0]}"
-        nk[0] += 1
-        env[name] = v
+    def kbake(k: int, field: str) -> str:
+        """Pass a per-instance int (stream ids, buffer lengths) through
+        the env under a position-deterministic name, keeping the
+        generated source identical across structurally equal blocks so
+        the shared bytecode cache can hit."""
+        name = f"_k{len(kbinds)}"
+        kbinds.append((name, k, field))
         return name
 
     def flush(cur_k: int) -> None:
@@ -1029,7 +1197,7 @@ def _compile(
             w(merge)
 
     fused: set = set()
-    for k, op in enumerate(rec.ops):
+    for k, op in enumerate(ops):
         if k in fused:
             continue
         kind = op["kind"]
@@ -1061,7 +1229,7 @@ def _compile(
         elif kind == "binop":
             a = op["a"]
             deps = [a] + ([op["b"][1]] if op["b"][0] == "s" else []) + [op["p"]]
-            w(f"d{o} = _b_{op['op']}(d{a}, {bsrc(op['b'])})")
+            w(f"d{o} = _b_{op['op']}(d{a}, {bsrc(op['b'], k)})")
             mask(op, o, f"{a}")
             issue(deps, 1, lat_arith, o, "vector", k)
             instr["vector"] += 1
@@ -1069,7 +1237,7 @@ def _compile(
         elif kind == "cmp":
             a = op["a"]
             deps = [a] + ([op["b"][1]] if op["b"][0] == "s" else []) + [op["p"]]
-            w(f"d{o} = _c_{op['op']}(d{a}, {bsrc(op['b'])})")
+            w(f"d{o} = _c_{op['op']}(d{a}, {bsrc(op['b'], k)})")
             p = op.get("p")
             if p is not None and p not in spec:
                 merge = f"d{o} = d{o} & d{p}"
@@ -1083,7 +1251,7 @@ def _compile(
         elif kind == "rbit":
             a = op["a"]
             p = op.get("p")
-            nxt = rec.ops[k + 1] if k + 1 < len(rec.ops) else None
+            nxt = ops[k + 1] if k + 1 < len(ops) else None
             if (
                 nxt is not None
                 and nxt["kind"] == "clz"
@@ -1140,7 +1308,7 @@ def _compile(
         elif kind == "gather64":
             flush(k)
             i, p, buf = op["i"], op["p"], op["buf"]
-            n, sid = op["n"], op["sid"]
+            n = op["n"]
             if p is None or p in pall:
                 cond = "" if p is None or p in spec else f"if g{p}:"
                 if cond:
@@ -1159,7 +1327,7 @@ def _compile(
             else:
                 _emit_gather64_masked(w, i, p, o, buf, n, depth=1)
             w("_mach.clock = clock")
-            w(f"tw = _mach._indexed_memory({buf}, ti, 8, {kbake(sid)})")
+            w(f"tw = _mach._indexed_memory({buf}, ti, 8, {kbake(k, 'sid')})")
             w(f"tx = tw - {l1_ltu}")
             w("if tx < 0: tx = 0")
             w("to = _occ[tn]")
@@ -1179,7 +1347,7 @@ def _compile(
             # the same block over different-length sequences must keep an
             # identical source so the bytecode cache — and the fleet
             # executor's same-source batching — can hit.
-            w(f"tr = d{p} & (ti >= 0) & (ti < {kbake(op['len'])})")
+            w(f"tr = d{p} & (ti >= 0) & (ti < {kbake(k, 'len')})")
             # ``ti`` ascends, so the live lanes span tl2[0]..tl2[-1].
             w("tl2 = ti[tr]")
             w(f"d{o} = _zi64({n})")
@@ -1192,7 +1360,7 @@ def _compile(
             w(f"    ta = {buf}.base + tlo * {op['eb']}")
             w("    _mach.clock = clock")
             w(f"    tlat = _mem.access(ta, tsp * {op['eb']}, "
-              f"{kbake(op['sid'])})")
+              f"{kbake(k, 'sid')})")
             if op["fwd"]:
                 w("    if _mach._store_visible:"
                   f" tlat += _mach._forwarding_stall(ta, tsp * {op['eb']})")
@@ -1207,7 +1375,7 @@ def _compile(
             v, p, buf, n = op["v"], op["p"], op["buf"], op["n"]
             w(f"ts = {ssrc(op['start'])}")
             w(f"ti = _ar(ts, ts + {n})")
-            kl = kbake(op["len"])
+            kl = kbake(k, "len")
             w(f"tr = d{p} & (ti >= 0) & (ti < {kl})")
             w(f"if _any(d{p} & ~tr & (ti >= {kl})): _oob({buf})")
             w("tl2 = ti[tr]")
@@ -1220,7 +1388,7 @@ def _compile(
             w("if tsp:")
             w(f"    ta = {buf}.base + tlo * {op['eb']}")
             w("    _mach.clock = clock")
-            w(f"    _mem.access(ta, tsp * {op['eb']}, {kbake(op['sid'])})")
+            w(f"    _mem.access(ta, tsp * {op['eb']}, {kbake(k, 'sid')})")
             if op["fwd"]:
                 w(f"    _mach._record_store(ta, tsp * {op['eb']})")
             issue([v, p], 1, 1, None, "memory", k)
@@ -1248,10 +1416,7 @@ def _compile(
         elif kind == "qzmhm":
             a, b, p, n, bits = op["a"], op["b"], op["p"], op["n"], op["bits"]
             if op["op"] == "rcount":
-                if p is None:
-                    mask_src = rec._bake(np.ones(n, dtype=bool))
-                else:
-                    mask_src = f"d{p}"
+                mask_src = bake("mask", n) if p is None else f"d{p}"
                 w(f"d{o}, tq = _qz._rcount_raw(d{a}, d{b}, {mask_src})")
                 issue([a, b, p], "tq", 2, o, "qbuffer", k)
             else:
@@ -1269,7 +1434,7 @@ def _compile(
                     _emit_qzmhm_masked(w, a, b, p, n, depth=1)
                 w("tq = ta if ta > tb else tb")
                 w(f"d{o} = _asai64(_cnt(t0, t1, {bits}))")
-                env.setdefault("_cnt", _count_matches())
+                cnt = True
                 issue([a, b, p], "tq", 2, o, "qbuffer", k)
             w("bqz += tq")
             instr["qbuffer"] += 1
@@ -1291,19 +1456,16 @@ def _compile(
         head.append(I + "bmem = 0")
     if dyn_qz:
         head.append(I + "bqz = 0")
-    if guarded_ext and ext_guard > 0:
-        # The guard bound goes through the env, not the source text:
-        # ready stamps vary run to run, and an inlined int would defeat
-        # the shared bytecode cache for structurally identical blocks.
+    if shape.ext_guard:
+        # The bound comes from the env (see _Emission.bind).
         # In loop mode this check sits outside the guard loop — the
         # externals are loop-invariant, so one entry test covers every
         # iteration (guard-strength reduction).
-        env["_eg"] = ext_guard
         head.append(I + "if _eg > clock: return None")
-    for j, slot in enumerate(rec.inputs):
+    for j, slot in enumerate(inputs):
         head.append(I + f"d{slot} = a[{j}].data; r{slot} = a[{j}].ready; "
                     f"c{slot} = a[{j}].category")
-    for slot, _reg in rec.externals:
+    for slot in shape.externals:
         if slot in guarded_ext:
             head.append(I + f"d{slot} = e{slot}.data")
         else:
@@ -1321,7 +1483,7 @@ def _compile(
         # regimes, body, then carried-state rebinding.  ``it`` counts
         # guard evaluations; bodies executed is ``it - 1`` because
         # every break fires at the guard point before the body runs.
-        gslot = rec.inputs[2]
+        gslot = inputs[2]
         head.append(I + "it = 0")
         head.append(I + "ex = 0")
         head.append(I + "while True:")
@@ -1341,7 +1503,7 @@ def _compile(
         for slot in sorted(pall - spec):
             head.append(I * 2 + f"g{slot} = bool(d{slot}.all())")
         body = [I + ln for ln in L]
-        for in_s, out_s in zip(rec.inputs, out_slots):
+        for in_s, out_s in zip(inputs, out_slots):
             if in_s == out_s:
                 continue
             body.append(I * 2 + f"d{in_s} = d{out_s}; r{in_s} = r{out_s}; "
@@ -1404,9 +1566,9 @@ def _compile(
     rets = []
     if not loop:
         for slot in out_slots:
-            wrap = "_pw" if rec.ispred[slot] else "_vw"
+            wrap = "_pw" if shape.ispred[slot] else "_vw"
             rets.append(
-                f"{wrap}(d{slot}, {rec.ebits[slot]}, r{slot}, {csrc(slot)})"
+                f"{wrap}(d{slot}, {shape.ebits[slot]}, r{slot}, {csrc(slot)})"
             )
         tail.append(I + "return (" + ", ".join(rets)
                     + ("," if len(rets) == 1 else "") + ")")
@@ -1415,37 +1577,27 @@ def _compile(
         # slots (the rebinding keeps them current; with zero body
         # passes they still hold the entry registers), plus the exit
         # kind and the guard-evaluation count.
-        for slot in rec.inputs:
-            wrap = "_pw" if rec.ispred[slot] else "_vw"
-            rets.append(f"{wrap}(d{slot}, {rec.ebits[slot]}, r{slot}, c{slot})")
+        for slot in inputs:
+            wrap = "_pw" if shape.ispred[slot] else "_vw"
+            rets.append(
+                f"{wrap}(d{slot}, {shape.ebits[slot]}, r{slot}, c{slot})"
+            )
         tail.append(I + "return (" + ", ".join(rets) + ", ex, it)")
 
-    env.update(rec.env)  # late bakes from bsrc / rcount masks
     # Non-escaping slots (not handed in, not handed back, not external)
     # are the backend's to manage: the optimizer may retarget their
     # computes into arena scratch storage.  Escaping slots keep their
     # freshly allocated arrays — callers hold them across kernel calls.
-    out_set = set(out_slots)
-    ext_set = {s for s, _reg in rec.externals}
-    in_set = set(rec.inputs)
     temps = {}
     outs = set()
-    for slot in range(rec.nslots):
-        if slot in ext_set or slot in in_set:
+    for slot, temp in enumerate(shape.temps):
+        if temp is None:
             continue
-        data = getattr(rec.keep[slot], "data", None)
-        if data is None:
-            continue
-        temps[slot] = (data.shape, str(data.dtype))
+        temps[slot] = (temp[0], str(temp[1]))
         if slot in out_set:
             outs.add(slot)
-    ir = KernelIR(head, body, tail, env, temps, loop, outs=frozenset(outs))
-    backend = resolve_backend(getattr(rec.machine, "jit_backend", None))
-    fn = backend.emit(ir)
-    return RecordedProgram(
-        fn, len(rec.ops), ir.source, rec, out_slots, spec,
-        backend=backend.name,
-    )
+    return _Emission(head, body, tail, temps, frozenset(outs), out_slots,
+                     tuple(kbinds), tuple(bakes), shape.ext_guard, cnt)
 
 
 def _np_full_i64(n: int, value) -> np.ndarray:
@@ -1486,6 +1638,44 @@ def _count_matches():
 
 def _store_oob(buf) -> None:
     raise MachineError(f"store out of range on buffer {buf.name!r}")
+
+
+def _zi64(n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.int64)
+
+
+def _zu64(n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.uint64)
+
+
+def _asai64(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.int64)
+
+
+#: The names every kernel env starts from (:meth:`_Emission.bind`).
+_BASE_ENV = {
+    "np": np,
+    "_dd": defaultdict,
+    "_wh": np.where,
+    # The store range guard: count_nonzero is one C call, where
+    # np.any goes through NumPy's Python-level reduction wrapper.
+    "_any": np.count_nonzero,
+    "_ar": np.arange,
+    "_i64": np.int64,
+    "_zi64": _zi64,
+    "_zu64": _zu64,
+    "_asai64": _asai64,
+    "_clz": _clz_values,
+    "_full": _np_full_i64,
+    "_ctz": _ctz_values,
+    "_rbit": _rbit_values,
+    "_rg64": _raise_gather64_range,
+    "_oob": _store_oob,
+    "_vw": VReg._wrap,
+    "_pw": Pred._wrap,
+    **{f"_b_{name}": ufn for name, ufn in _BINOPS.items()},
+    **{f"_c_{name}": ufn for name, ufn in _CMPOPS.items()},
+}
 
 
 # ----------------------------------------------------------------------

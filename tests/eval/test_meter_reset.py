@@ -27,7 +27,8 @@ COUNT_KEYS = (
     "captures", "replayed_blocks", "interpreted_blocks", "broken",
     "total_blocks", "replayed_instructions", "interpreted_instructions",
     "kernel_cache_hits", "kernel_cache_misses", "kernel_compiles",
-    "backend_fallbacks", "memvec_pattern_hits", "memvec_pattern_misses",
+    "emissions", "backend_fallbacks", "memvec_pattern_hits",
+    "memvec_pattern_misses",
 )
 
 

@@ -146,6 +146,7 @@ class TestMeterReset:
         nondeterministic = {
             "compile_s", "kernel_run_s", "mem_model_s",
             "kernel_cache_hits", "kernel_cache_misses", "kernel_compiles",
+            "emissions",
         }
         for key, value in first.items():
             if key in nondeterministic:

@@ -12,6 +12,7 @@ on but the end-to-end suites never observe directly.
 
 import pickle
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cache import CALIBRATION
 from repro.config import SystemConfig
-from repro.vector import kernel_cache
+from repro.vector import kernel_cache, program
 from repro.vector.backends import (
     ARENA,
     CODEGEN_METER,
@@ -62,14 +63,17 @@ def _seed_state(m):
     return st
 
 
-def run_session(body_factory, backend, iters=5, loop=False):
+def run_session(body_factory, backend, iters=5, loop=False,
+                make=fresh_machine):
     """Drive ``body_factory(buf) -> body(mm, st)`` through a
     :class:`ReplaySession`; ``backend=None`` means pure interpretation.
+    ``make`` builds the machine and the argument handed to
+    ``body_factory`` (default: the shared byte buffer).
 
     Returns (clock, max_complete, stats snapshot, register values,
     tracer totals) — everything the identity contract covers.
     """
-    m, buf = fresh_machine()
+    m, buf = make()
     tracer = m.attach_tracer(capacity=8192)
     if backend is None:
         m.use_replay = False
@@ -155,10 +159,12 @@ class TestBackendIdentity:
         assert resolve_backend("no-such-backend") is backend
 
 
-def _plan_body(plan):
+def _plan_body(plan, scalar=3, sid=None):
     """Deterministic body from a hypothesis-drawn op plan (the
     ``test_program`` random-program shape, including gathers so the
-    ``_imf`` fast path is on the randomized surface)."""
+    ``_imf`` fast path is on the randomized surface).  ``scalar`` offsets
+    the ``"scalar"`` ops' constants; ``sid`` is the gathers' stream id
+    (None: the buffer's default)."""
 
     def factory(buf):
         def body(m, st):
@@ -171,7 +177,9 @@ def _plan_body(plan):
                 if kind == "binop":
                     regs.append(m.binop(BINOPS[a % len(BINOPS)], x, y, pred=p))
                 elif kind == "scalar":
-                    regs.append(m.binop(BINOPS[b % len(BINOPS)], x, 3 + a, pred=p))
+                    regs.append(
+                        m.binop(BINOPS[b % len(BINOPS)], x, scalar + a, pred=p)
+                    )
                 elif kind == "cmp":
                     preds.append(m.cmp(["lt", "ge", "eq"][b % 3], x, y, pred=p))
                 elif kind == "shift":
@@ -182,7 +190,7 @@ def _plan_body(plan):
                     regs.append(m.sel(preds[b % len(preds)], x, y))
                 else:
                     idx = m.and_(x, 1023, pred=p)
-                    regs.append(m.gather64(buf, idx, pred=p))
+                    regs.append(m.gather64(buf, idx, pred=p, stream_id=sid))
             st.v = m.add(regs[-1], 1)
             st.h = regs[-2]
             st.inb = m.cmp("lt", st.v, 1 << 40)
@@ -211,6 +219,133 @@ class TestRandomProgramsAcrossBackends:
         for backend in available_backends():
             replay = run_session(factory, backend, iters=4)
             assert interp == replay, f"backend {backend} diverged"
+
+
+# ----------------------------------------------------------------------
+# Per-shape emission: one source per block shape, values bound per capture
+# ----------------------------------------------------------------------
+def _instance(scalar, modulus, sid, length, warm):
+    """One capture's per-instance values for :func:`_instance_factory`:
+    the scalar-op constant, the gathered buffer (its contents) and its
+    stream id, the contiguous-load buffer's length, and the ready stamp
+    of an external register (``warm`` ops issued before it)."""
+
+    def make():
+        m = VectorMachine(SystemConfig())
+        # Trace trees off: each run captures exactly one (generic) block.
+        m.use_trace_trees = False
+        gbuf = m.new_buffer(
+            "g", np.arange(4096, dtype=np.int64) % modulus, elem_bytes=1
+        )
+        lbuf = m.new_buffer(
+            "l", np.arange(length, dtype=np.int64) * 5 % 97, elem_bytes=8
+        )
+        lanes = m.lanes(64)
+        x = m.from_values(np.arange(lanes), 64)
+        for _ in range(warm):
+            x = m.add(x, 1)
+        ext = m.dup(7, 64)
+        return m, (gbuf, lbuf, ext)
+
+    return scalar, sid, make
+
+
+def _instance_factory(plan, scalar, sid):
+    """``_plan_body``'s block plus a contiguous load and a use of an
+    external register."""
+    inner = _plan_body(plan, scalar=scalar, sid=sid)
+
+    def factory(res):
+        gbuf, lbuf, ext = res
+        body = inner(gbuf)
+
+        def wrapped(m, st):
+            body(m, st)
+            ld = m.load(lbuf, 0, 64, pred=st.inb)
+            st.h = m.add(m.max(st.h, ld, pred=st.inb), ext, pred=st.inb)
+
+        return wrapped
+
+    return factory
+
+
+_INSTANCE = st.tuples(
+    st.integers(min_value=0, max_value=60),  # scalar-op constant
+    st.integers(min_value=200, max_value=251),  # gathered buffer contents
+    st.integers(min_value=1, max_value=1 << 20),  # stream id
+    st.integers(min_value=2, max_value=40),  # load buffer length
+    st.integers(min_value=0, max_value=6),  # external's ready stamp
+)
+
+
+class TestEmissionTable:
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(_OP, min_size=3, max_size=10), _INSTANCE, _INSTANCE)
+    def test_equal_shapes_share_one_emission(self, plan, first, second):
+        program._EMISSIONS.clear()
+        for backend in available_backends():
+            before = CODEGEN_METER.emissions
+            for values in (first, second):
+                scalar, sid, make = _instance(*values)
+                factory = _instance_factory(plan, scalar, sid)
+                interp = run_session(factory, None, iters=4, make=make)
+                replay = run_session(factory, backend, iters=4, make=make)
+                assert interp == replay, f"backend {backend} diverged"
+            assert CODEGEN_METER.emissions == before + 1, (
+                "two captures of one shape must share one emission"
+            )
+
+    @staticmethod
+    def _capture(system=None, backend="numpy-opt", partial=False, ready=5):
+        m = VectorMachine(system or SystemConfig())
+        m.jit_backend = backend
+        st_ = _seed_state(m)
+        if partial:
+            st_.inb = m.whilelt(0, m.lanes(64) - 1, 64)
+        ext = m.dup(7, 64)
+        ext.ready = ready
+
+        def body(mm, v, h, inb):
+            h2 = mm.xor(h, mm.add(v, ext, pred=inb), pred=inb)
+            v2 = mm.add(v, 1, pred=inb)
+            return v2, h2, mm.cmp("lt", v2, 1 << 40, pred=inb)
+
+        before = CODEGEN_METER.emissions
+        _outs, prog = program.capture(
+            m, body, (st_.v, st_.h, st_.inb), specialize=True
+        )
+        assert prog is not None
+        return CODEGEN_METER.emissions - before, prog
+
+    def test_each_shape_factor_forces_its_own_emission(self):
+        program._EMISSIONS.clear()
+        emitted, base = self._capture()
+        assert emitted == 1
+        # A second capture of the same shape binds its own values.
+        emitted, again = self._capture(ready=9)
+        assert emitted == 0
+        assert again.source == base.source
+        assert base._fn.__globals__["_eg"] == 5
+        assert again._fn.__globals__["_eg"] == 9
+        # Regime: the entry predicate is no longer all-true.
+        emitted, generic = self._capture(partial=True)
+        assert emitted == 1 and generic.spec_slots != base.spec_slots
+        # No external in flight: the entry guard line drops out.
+        emitted, unguarded = self._capture(ready=0)
+        assert emitted == 1 and "_eg" not in unguarded.source
+        assert self._capture(backend="numpy")[0] == 1
+        slower = replace(SystemConfig(), lat_vector_arith=7)
+        assert self._capture(system=slower)[0] == 1
+        # Loop mode: the same recording re-emitted as a loop kernel.
+        before = CODEGEN_METER.emissions
+        assert program._compile_loop(base) is not False
+        assert CODEGEN_METER.emissions == before + 1
+        assert program._compile_loop(again) is not False
+        assert CODEGEN_METER.emissions == before + 1
+        # Every variant above is now a table hit.
+        for kwargs in ({}, {"partial": True}, {"ready": 0},
+                       {"backend": "numpy"}, {"system": slower}):
+            assert self._capture(**kwargs)[0] == 0, kwargs
 
 
 # ----------------------------------------------------------------------
