@@ -219,8 +219,8 @@ class DpEngine:
             else (self.m + self.n) * (min(band, max(self.m, self.n)) + 1)
         )
         self.fast = fast if fast is not None else cells > FAST_CELL_THRESHOLD
-        # Machine-local numbering: fleet execution interleaves many
-        # machines, each of which must see the solo-run name sequence.
+        # Machine-local numbering: every machine in a process (sharded
+        # runs, serve) must see the solo-run name sequence.
         self.uid = machine.name_uid("dp")
         self.qz_mode: str | None = None
         if use_quetzal:
@@ -388,7 +388,7 @@ class DpEngine:
         return drive_serial(self.run_gen())
 
     def run_gen(self):
-        """Generator form of :meth:`run` yielding fleet step requests."""
+        """Generator form of :meth:`run` yielding step requests."""
         m = self.machine
         self._stage()
         if self.band < self.m + self.n and abs(self.n - self.m) > self.band:
@@ -411,7 +411,7 @@ class DpEngine:
         return drive_serial(self._run_exact_gen())
 
     def _run_exact_gen(self):
-        from repro.vector.fleet import program_step
+        from repro.vector.fleet import FleetStep
 
         m = self.machine
         st = self.state
@@ -431,24 +431,16 @@ class DpEngine:
                 if not use_replay:
                     self._chunk_kernel(d, i0, count)
                     continue
-                prog = programs.get(d % 6)
-                if prog is None:
+                if programs.get(d % 6) is None:
                     # First sighting of this phase (capture) or a broken
-                    # capture: stay serial for this chunk.
+                    # capture: run this chunk inline.
                     self._chunk_replay(d, i0, count, programs)
                 else:
-                    # Fleet-fusable: the captured phase program can run
-                    # across pairs in one batch.  The fused path replays
-                    # the block itself; only the traceback-table write
-                    # remains to account per pair (``accept``).
-                    yield program_step(
+                    yield FleetStep(
                         m,
-                        prog,
-                        (d, i0, count),
-                        run=lambda d=d, i0=i0, count=count: self._chunk_replay(
+                        lambda d=d, i0=i0, count=count: self._chunk_replay(
                             d, i0, count, programs
                         ),
-                        accept=lambda outs, count=count: self._tb_account(count),
                     )
             self._poison_band_edges(d, ilo, ihi)
         final = st.peek("h", 0, self.m)

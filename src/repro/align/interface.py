@@ -60,7 +60,7 @@ class Implementation(ABC):
         """Simulate one pair; returns its timing delta and functional output.
 
         Implementations override either this method (fully serial) or
-        :meth:`run_pair_gen` (fleet-capable); the default of each
+        :meth:`run_pair_gen` (a pair fiber); the default of each
         delegates to the other, so overriding one is enough.
         """
         from repro.vector.fleet import drive_serial
@@ -68,13 +68,12 @@ class Implementation(ABC):
         return drive_serial(self.run_pair_gen(machine, pair))
 
     def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
-        """Generator form of :meth:`run_pair` for the fleet executor.
+        """Generator form of :meth:`run_pair`.
 
-        Yields :class:`~repro.vector.fleet.FleetStep` requests at
-        fusable block boundaries and returns the :class:`PairResult`.
-        The default never yields: the whole pair runs serially the
-        moment the fleet driver first advances the fiber, which is
-        always correct — just unbatched.
+        Yields :class:`~repro.vector.fleet.FleetStep` requests at block
+        boundaries and returns the :class:`PairResult`.  The default
+        never yields: the whole pair runs the moment the fiber is first
+        advanced.
         """
         if type(self).run_pair is Implementation.run_pair:
             raise NotImplementedError(

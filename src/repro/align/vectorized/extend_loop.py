@@ -40,7 +40,7 @@ import numpy as np
 from repro.cache import CALIBRATION
 from repro.config import SystemConfig
 from repro.errors import MachineError
-from repro.vector.fleet import FleetStep, drive_serial, session_step
+from repro.vector.fleet import FleetStep, drive_serial
 from repro.vector.machine import VectorMachine
 from repro.vector.program import ReplaySession
 from repro.vector.register import Pred, SimBuffer, VReg
@@ -163,10 +163,8 @@ def vec_extend(
     st = enter_extend(machine, consts, v, h, active)
     if iter_hook is None and ReplaySession.enabled(machine):
         # Capture the loop body once per (machine, buffers) and hand the
-        # whole guard loop to the session: with trace trees on it runs
-        # loop-in-kernel (the ``ptest_spec`` guard compiled into the
-        # trace, mismatch tails on compiled side exits); otherwise the
-        # guard branch stays interpreted between per-block replays.
+        # guard loop to the session: the ``ptest_spec`` branch stays
+        # interpreted between per-block replays.
         key = (id(machine), id(pbuf), id(tbuf))
         session = consts.replay.get(key)
         if session is None:
@@ -184,14 +182,14 @@ def vec_extend(
     return st.v, st.h
 
 
-def interleave_requests(machine: VectorMachine, chunks: list, request_fn):
-    """Generator core of :func:`run_interleaved` for the fleet driver.
+def interleave_requests(machine: VectorMachine, chunks: list, step):
+    """Generator core of :func:`run_interleaved`.
 
-    Yields one :class:`~repro.vector.fleet.FleetStep` per live chunk per
-    round.  The driver *executes* the request before resuming the
-    generator, so the ``POR``/``ptest`` guard sequence after each
-    ``yield`` sees the post-step ``inb`` — per-machine op order is
-    exactly the inline loop's.
+    Yields one :class:`~repro.vector.fleet.FleetStep` running
+    ``step(state)`` per live chunk per round.  The driver *executes*
+    the request before resuming the generator, so the ``POR``/``ptest``
+    guard sequence after each ``yield`` sees the post-step ``inb`` —
+    per-machine op order is exactly the inline loop's.
     """
     combined = None
     live = []
@@ -204,7 +202,7 @@ def interleave_requests(machine: VectorMachine, chunks: list, request_fn):
     while live:
         combined = None
         for st in live:
-            yield request_fn(st)
+            yield FleetStep(machine, lambda st=st: step(st))
             combined = st.inb if combined is None else machine.por(combined, st.inb)
         machine.ptest_spec(combined)
         live = [c for c in live if c.alive]
@@ -221,13 +219,7 @@ def run_interleaved(machine: VectorMachine, chunks: list, step_fn) -> None:
     a single predicted test), so only the final wave exit mispredicts.
     """
     drive_serial(
-        interleave_requests(
-            machine,
-            chunks,
-            lambda st: FleetStep(
-                machine, lambda st=st: step_fn(machine, st)
-            ),
-        )
+        interleave_requests(machine, chunks, lambda st: step_fn(machine, st))
     )
 
 
@@ -652,8 +644,7 @@ def extend_chunks(
     Slow mode interleaves every chunk's loop (software pipelining);
     fast mode derives iteration counts from run lengths and replays the
     measured wave bound.  This is the inline driver over
-    :func:`extend_chunks_gen` — the fleet scheduler drives the same
-    generator across pairs.
+    :func:`extend_chunks_gen`.
     """
     return drive_serial(
         extend_chunks_gen(machine, kernel, consts, chunks, fast, cost_model)
@@ -668,11 +659,10 @@ def extend_chunks_gen(
     fast: bool,
     cost_model: LoopCostModel | None = None,
 ):
-    """Generator form of :func:`extend_chunks` yielding fleet requests.
+    """Generator form of :func:`extend_chunks` yielding step requests.
 
     Each loop-body iteration is yielded as a
-    :class:`~repro.vector.fleet.FleetStep` so the fleet scheduler can fuse
-    it with the matching iteration of other pairs; the fast path never
+    :class:`~repro.vector.fleet.FleetStep`; the fast path never
     yields.  Returns the same per-chunk ``(h', runs)`` list (via
     ``StopIteration.value`` / ``yield from``).
     """
@@ -697,13 +687,10 @@ def extend_chunks_gen(
                     name=type(kernel).__name__,
                 )
                 kernel._replay_session = cached = (machine, consts, session)
-            session = cached[2]
-            request_fn = lambda ss: session_step(session, ss)  # noqa: E731
+            step = cached[2].step
         else:
-            request_fn = lambda ss: FleetStep(  # noqa: E731
-                machine, lambda ss=ss: kernel.step(machine, consts, ss)
-            )
-        yield from interleave_requests(machine, states, request_fn)
+            step = lambda ss: kernel.step(machine, consts, ss)  # noqa: E731
+        yield from interleave_requests(machine, states, step)
         out = []
         for st, (v, h, valid) in zip(states, chunks):
             out.append((st.h, st.h.data - h.data))

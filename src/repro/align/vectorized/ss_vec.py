@@ -18,7 +18,7 @@ from repro.align.vectorized.extend_loop import (
 from repro.align.vectorized.wfa_vec import FAST_LENGTH_THRESHOLD
 from repro.errors import AlignmentError
 from repro.genomics.generator import SequencePair
-from repro.vector.fleet import drive_serial, program_step
+from repro.vector.fleet import FleetStep, drive_serial
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER, ReplaySession, capture
 
@@ -45,7 +45,7 @@ def run_snake_gen(
     threshold: int,
     fast: bool,
 ):
-    """Generator form of :func:`run_snake` yielding fleet step requests."""
+    """Generator form of :func:`run_snake` yielding step requests."""
     m = machine
     consts = kernel.consts(m, n, n_text)
     cost_model = kernel.cost_model(m) if fast else None
@@ -84,8 +84,6 @@ def run_snake_gen(
                 outs = column_setup(m, col)
                 REPLAY_METER.interpreted_blocks += 1
             else:
-                # Fleet-fusable: the captured column-setup program runs
-                # across pairs in one batch when fibers line up.
                 holder = {}
 
                 def run_setup(col=col, holder=holder):
@@ -97,13 +95,7 @@ def run_snake_gen(
                         REPLAY_METER.interpreted_instructions += setup_prog.n_ops
                     holder["outs"] = outs
 
-                yield program_step(
-                    m,
-                    setup_prog,
-                    (col,),
-                    run=run_setup,
-                    accept=lambda o, holder=holder: holder.__setitem__("outs", o),
-                )
+                yield FleetStep(m, run_setup)
                 outs = holder["outs"]
         else:
             outs = column_setup(m, col)

@@ -36,9 +36,9 @@ class MachineWavefront:
         self.machine = machine
         self.lo = lo
         self.hi = hi
-        # Machine-local numbering (not a module global): fleet execution
-        # interleaves many machines, and each pair must see the exact
-        # buffer-name sequence a solo run would.
+        # Machine-local numbering (not a module global): one process runs
+        # many machines (sharded runs, serve), and each pair must see the
+        # exact buffer-name sequence a solo run would.
         self.buf = machine.new_buffer(
             f"wf{machine.name_uid('wf')}", data, elem_bytes=4
         )
@@ -173,7 +173,7 @@ def extend_wave_with_kernel_gen(
     fast: bool,
     cost_model=None,
 ):
-    """Generator form of :func:`extend_wave_with_kernel` (fleet requests)."""
+    """Generator form of :func:`extend_wave_with_kernel` (step requests)."""
     from repro.align.vectorized.extend_loop import extend_chunks_gen
 
     m = machine
@@ -229,7 +229,7 @@ def run_wavefront_loop_gen(
 ):
     """Generator form of :func:`run_wavefront_loop`.
 
-    ``extend_wave_gen(machine, wave)`` returns a generator yielding fleet
+    ``extend_wave_gen(machine, wave)`` returns a generator yielding
     step requests (e.g. :func:`extend_wave_with_kernel_gen`); the
     wavefront recurrence and termination checks between waves run
     serially when the driver resumes this fiber.

@@ -60,7 +60,7 @@ def _disable_memvec() -> None:
     """Turn the vectorized memory-model engine off for this process.
 
     The hierarchy falls back to the serial per-request walk for every
-    batch (no phase splitting, no pattern replay, no fleet coalescing).
+    batch (no phase splitting, no pattern replay).
     Same env-var + class-attribute pattern as :func:`_disable_replay`;
     results are bit-identical either way.
     """
@@ -70,38 +70,11 @@ def _disable_memvec() -> None:
     MemoryHierarchy.use_vectorized_memory = False
 
 
-def _disable_trace_trees() -> None:
-    """Turn the trace-tree tier of the replay JIT off for this process.
-
-    Replay still runs, but captures stay generic straight-line programs:
-    no regime specialisation, no side-exit children, no loop-in-kernel
-    execution.  Same env-var + class-attribute pattern as
-    :func:`_disable_replay`.
-    """
-    os.environ["REPRO_NO_TRACE_TREES"] = "1"
-    VectorMachine.use_trace_trees = False
-
-
-def _set_fleet(width: "int | None") -> None:
-    """Pin the fleet width for this process and its workers.
-
-    Like :func:`_disable_replay`: the environment variable reaches
-    worker processes (read at ``repro.vector.machine`` import), the
-    class attribute covers machines built here.
-    """
-    if width is None:
-        return
-    if width < 0:
-        raise ReproError(f"--fleet must be >= 0: {width}")
-    os.environ["REPRO_FLEET"] = str(width)
-    VectorMachine.use_fleet = width
-
-
 def _set_jit_backend(name: "str | None") -> None:
     """Pin the replay-JIT codegen backend for this process and workers.
 
-    Same env-var + class-attribute pattern as :func:`_set_fleet`; the
-    default (``numpy-opt``) applies when the flag is absent.
+    Same env-var + class-attribute pattern as :func:`_disable_replay`;
+    the default (``numpy-opt``) applies when the flag is absent.
     """
     if name is None:
         return
@@ -193,29 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         "programs (results are bit-identical either way)",
     )
     parser.add_argument(
-        "--no-trace-trees",
-        action="store_true",
-        help="disable the trace-tree tier of the replay JIT (side-exit "
-        "children, loop-in-kernel); replay still runs straight-line "
-        "programs, and results are bit-identical either way",
-    )
-    parser.add_argument(
         "--no-memvec",
         action="store_true",
         help="disable the vectorized memory-model engine (phase-split "
         "batch retirement and pattern-replay memoization in the cache "
         "hierarchy); every batch takes the serial per-request walk, and "
         "results are bit-identical either way",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=None,
-        metavar="N",
-        help="advance N read-pairs in lockstep through the fleet "
-        "executor, fusing identical replay blocks across pairs "
-        "(default: $REPRO_FLEET, else off; per-pair results are "
-        "bit-identical at every width)",
     )
     add_jit_backend_argument(parser)
     add_supervise_arguments(parser)
@@ -366,15 +322,14 @@ def build_bench_parser() -> argparse.ArgumentParser:
         default=None,
         help="run a subset (repeatable); choose from "
         "stride_sweep, random_gather, wfa_extend, fig4_cell, "
-        "replay_extend, replay_ss, fleet_extend, fleet_fig4, trace_tree, "
-        "memvec_gather, serve (service-level load points; "
+        "replay_extend, replay_ss, memvec_gather, serve (service-level load points; "
         "not in the default set — see results/BENCH_serve.json)",
     )
     parser.add_argument(
         "--check",
         action="store_true",
         help="exit 1 if statistics diverge or a gated workload "
-        "(stride_sweep, the replay/trace-tree workloads, fleet_extend) "
+        "(stride_sweep and the replay, backend and memvec workloads) "
         "regressed",
     )
     parser.add_argument(
@@ -408,12 +363,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "(the replay_* workloads still toggle it per leg)",
     )
     parser.add_argument(
-        "--no-trace-trees",
-        action="store_true",
-        help="disable the trace-tree JIT tier for the default execution "
-        "paths (the trace_tree workload still toggles it per leg)",
-    )
-    parser.add_argument(
         "--no-memvec",
         action="store_true",
         help="disable the vectorized memory-model engine for the default "
@@ -437,8 +386,6 @@ def bench_main(argv: "list[str]") -> int:
     args = build_bench_parser().parse_args(argv)
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
     _set_jit_backend(args.jit_backend)
@@ -571,14 +518,12 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", "-v", action="store_true")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--no-replay", action="store_true")
-    parser.add_argument("--no-trace-trees", action="store_true")
     parser.add_argument(
         "--no-memvec",
         action="store_true",
         help="disable the vectorized memory-model engine (serial "
         "per-request cache walk; bit-identical results)",
     )
-    parser.add_argument("--fleet", type=int, default=None, metavar="N")
     add_jit_backend_argument(parser)
     parser.add_argument(
         "--fault-plan", metavar="SPEC", default=None,
@@ -597,11 +542,8 @@ def run_main(argv: "list[str]") -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
-    _set_fleet(args.fleet)
     _set_jit_backend(args.jit_backend)
     meta = supervise.read_meta(args.resume)
     experiment = meta.get("experiment")
@@ -749,11 +691,8 @@ def main(argv: "list[str] | None" = None) -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
-    _set_fleet(args.fleet)
     _set_jit_backend(args.jit_backend)
     if supervise_cfg is not None:
         return _run_supervised(

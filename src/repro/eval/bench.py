@@ -32,16 +32,6 @@ Workloads:
 ``replay_ss``
     End-to-end Fig. 4 SS cell with replay off vs on — the same
     bit-identity contract, measured through ``run_implementation``.
-``fleet_extend``
-    The steady-state extend loop on 64 independent read-pairs, each on
-    its own fresh machine at the 2048-bit (32-lane) vector width —
-    per-pair serial fibers vs the fleet executor fusing all pairs'
-    identical replay blocks per step (:mod:`repro.vector.fleet`).
-``fleet_fig4``
-    End to end: the Fig. 4 SS cell through ``run_implementation`` with
-    ``fleet=1`` (one pair at a time, fresh machine per pair) vs
-    ``fleet=64`` — the ``--fleet N == --fleet 1`` CLI contract,
-    measured per pair.
 ``memvec_gather``
     Repeating strided gathers cycling through a small rotation of base
     offsets — the pattern-memoization sweet spot of the vectorized
@@ -49,13 +39,12 @@ Workloads:
     lap every batch replays a compiled pattern instead of walking the
     hierarchy request by request.  Toggles the ``memvec`` dimension
     (``MemoryHierarchy.use_vectorized_memory`` off vs on) with batched
-    memory, replay, and fleet width 64 pinned on both legs.
+    memory and replay pinned on both legs.
 
 The membatch workloads compare ``use_batched_memory`` off vs on (replay
 pinned off on both legs so it cannot blur the comparison); the replay
 workloads compare ``use_replay`` off vs on with batched memory pinned
-on; the fleet workloads compare fleet width 1 vs 64 with batched memory
-and replay pinned on for both legs; the ``backend`` dimension (opt in
+on; the ``backend`` dimension (opt in
 via ``--dimension backend``) compares the plain generated-numpy codegen
 backend against the process default (``numpy-opt``, or whatever
 ``--jit-backend`` pinned) with everything else held at the replay fast
@@ -95,12 +84,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._version import __version__
-from repro.align.vectorized.extend_loop import (
-    ExtendConsts,
-    enter_extend,
-    vec_extend,
-    vec_step,
-)
+from repro.align.vectorized.extend_loop import ExtendConsts, vec_extend
 from repro.align.vectorized.ss_vec import SsVec
 from repro.config import SystemConfig
 from repro.errors import ReproError
@@ -108,9 +92,8 @@ from repro.eval.runner import make_machine, run_implementation
 from repro.genomics.datasets import build_dataset
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.vector.backends import CODEGEN_METER
-from repro.vector.fleet import drive_fleet, drive_serial, session_step
 from repro.vector.machine import VectorMachine
-from repro.vector.program import REPLAY_METER, ReplaySession
+from repro.vector.program import REPLAY_METER
 
 #: Default report location (relative to the working directory).
 DEFAULT_OUT = "results/BENCH_membatch.json"
@@ -129,9 +112,6 @@ _SCALES = {
     "fig4_cell": (24, 4),
     "replay_extend": (40, 8),
     "replay_ss": (24, 4),
-    "fleet_extend": (20, 5),
-    "fleet_fig4": (24, 4),
-    "trace_tree": (40, 8),
     "memvec_gather": (600, 90),
 }
 
@@ -139,55 +119,35 @@ _SCALES = {
 _DIMENSIONS = {
     "replay_extend": "replay",
     "replay_ss": "replay",
-    "fleet_extend": "fleet",
-    "fleet_fig4": "fleet",
-    "trace_tree": "tracetree",
     "memvec_gather": "memvec",
 }
 
-#: dimension -> ((slow label, batched, replay, fleet, trees, backend),
-#: (fast ...)).  ``trees=None`` leaves ``use_trace_trees`` at its
-#: process default so the legacy dimensions keep measuring exactly
-#: their own toggle; ``backend=None`` likewise leaves ``jit_backend``
-#: at the process default (``numpy-opt`` unless ``--jit-backend``
-#: pinned something else), so the ``backend`` dimension's fast leg
-#: measures whatever backend the process runs with.
+#: dimension -> ((slow label, batched, replay, backend, memvec),
+#: (fast ...)).  ``backend=None`` leaves ``jit_backend`` at the process
+#: default (``numpy-opt`` unless ``--jit-backend`` pinned something
+#: else), so the ``backend`` dimension's fast leg measures whatever
+#: backend the process runs with; ``memvec=None`` likewise leaves the
+#: memory-model engine at its process default.
 _LEGS = {
     "membatch": (
-        ("serial", False, False, 0, None, None),
-        ("batched", True, False, 0, None, None),
+        ("serial", False, False, None, None),
+        ("batched", True, False, None, None),
     ),
     "replay": (
-        ("serial", True, False, 0, None, None),
-        ("batched", True, True, 0, None, None),
-    ),
-    # Both fleet legs pin the memory-model engine off: pattern replay
-    # accelerates the width-1 fibers' per-machine batches far more than
-    # the fused executor's already-vectorized rows, which would fold the
-    # hierarchy engine's signal into a measurement whose toggle is the
-    # fleet width.  The memvec dimension (and the conformance grid's
-    # memvec x fleet axis) covers that interaction.
-    "fleet": (
-        ("serial", True, True, 1, None, None, False),
-        ("batched", True, True, 64, None, None, False),
-    ),
-    "tracetree": (
-        ("serial", True, True, 0, False, None),
-        ("batched", True, True, 0, True, None),
+        ("serial", True, False, None, None),
+        ("batched", True, True, None, None),
     ),
     "backend": (
-        ("serial", True, True, 0, None, "numpy"),
-        ("batched", True, True, 0, None, None),
+        ("serial", True, True, "numpy", None),
+        ("batched", True, True, None, None),
     ),
     # Both memvec legs keep the whole fast stack (batched memory,
-    # replay, fleet width 64) so the only difference is the memory
-    # hierarchy's own engine — serial per-request walk vs phase-split
-    # retirement + pattern replay.  The pinned fleet width is inert for
-    # single-machine workloads and turns fleet_extend under
-    # ``--dimension memvec`` into the fleet-coalescing measurement.
+    # replay) so the only difference is the memory hierarchy's own
+    # engine — serial per-request walk vs phase-split retirement +
+    # pattern replay.
     "memvec": (
-        ("serial", True, True, 64, None, None, False),
-        ("batched", True, True, 64, None, None, True),
+        ("serial", True, True, None, False),
+        ("batched", True, True, None, True),
     ),
 }
 
@@ -199,15 +159,11 @@ class _PathPin:
         self,
         batched: bool,
         replay: bool,
-        fleet: int = 0,
-        trees: "bool | None" = None,
         backend: "str | None" = None,
         memvec: "bool | None" = None,
     ) -> None:
         self.batched = batched
         self.replay = replay
-        self.fleet = fleet
-        self.trees = trees
         self.backend = backend
         self.memvec = memvec
 
@@ -215,35 +171,23 @@ class _PathPin:
         self._saved = (
             VectorMachine.use_batched_memory,
             VectorMachine.use_replay,
-            VectorMachine.use_fleet,
-            VectorMachine.use_trace_trees,
             VectorMachine.jit_backend,
             MemoryHierarchy.use_vectorized_memory,
         )
         VectorMachine.use_batched_memory = self.batched
         VectorMachine.use_replay = self.replay
-        VectorMachine.use_fleet = self.fleet
-        if self.trees is not None:
-            VectorMachine.use_trace_trees = self.trees
         if self.backend is not None:
             VectorMachine.jit_backend = self.backend
         if self.memvec is not None:
             MemoryHierarchy.use_vectorized_memory = self.memvec
 
     def __exit__(self, *exc) -> None:
-        VectorMachine.use_batched_memory = self._saved[0]
-        VectorMachine.use_replay = self._saved[1]
-        VectorMachine.use_fleet = self._saved[2]
-        VectorMachine.use_trace_trees = self._saved[3]
-        VectorMachine.jit_backend = self._saved[4]
-        MemoryHierarchy.use_vectorized_memory = self._saved[5]
-
-
-class _BatchedPath(_PathPin):
-    """Pin only batched memory (replay off so it cannot blur timing)."""
-
-    def __init__(self, enabled: bool) -> None:
-        super().__init__(enabled, False)
+        (
+            VectorMachine.use_batched_memory,
+            VectorMachine.use_replay,
+            VectorMachine.jit_backend,
+            MemoryHierarchy.use_vectorized_memory,
+        ) = self._saved
 
 
 # ----------------------------------------------------------------------
@@ -330,43 +274,6 @@ def _replay_extend(reps: int):
     return machine.snapshot()
 
 
-class _TTState:
-    __slots__ = ("v", "h", "inb")
-
-
-def _trace_tree(reps: int):
-    # Divergence-heavy carried-predicate loop: per-lane retirement
-    # bounds are strongly staggered, so after a short all-active prefix
-    # the loop spends most iterations with a partially-active predicate
-    # — the WFA extend mismatch-tail shape.  The body is pure masked
-    # ALU work (no per-iteration memory traffic), so the measurement
-    # isolates what the trace trees change: the all-true prefix runs
-    # the specialised root, the divergent tail runs the compiled
-    # side-exit child, and both run as loop-in-kernel calls instead of
-    # one guard + one replay dispatch per iteration.
-    machine = make_machine(SystemConfig())
-    lanes = machine.lanes(64)
-    bounds = machine.from_values(60 + 40 * np.arange(lanes), 64)
-
-    def body(mm, ss):
-        step = mm.add(ss.v, 3, pred=ss.inb)
-        cap = mm.min(step, bounds, pred=ss.inb)
-        gain = mm.sub(cap, ss.v, pred=ss.inb)
-        ss.h = mm.add(ss.h, gain, pred=ss.inb)
-        ss.v = cap
-        ss.inb = mm.cmp("lt", ss.v, bounds, pred=ss.inb)
-
-    session = ReplaySession(machine, body, name="trace-tree-bench")
-    for rep in range(reps):
-        st = _TTState()
-        st.v = machine.from_values((rep * 7) % 19 + np.arange(lanes), 64)
-        st.h = machine.from_values(np.zeros(lanes, dtype=np.int64), 64)
-        st.inb = machine.ptrue(64)
-        session.run_loop(st)
-    machine.barrier()
-    return machine.snapshot()
-
-
 _FIG4_DATASETS: dict = {}
 
 
@@ -395,94 +302,6 @@ def _replay_ss(reps: int):
     impl = SsVec(threshold=dataset.spec.edit_threshold)
     result = run_implementation(impl, dataset.pairs)
     return result.stats()
-
-
-#: Vector width for the fleet workloads: the widest SVE configuration
-#: the paper targets.  The serial engine's per-lane accounting cost
-#: grows with the lane count while the fleet's row-batched accounting
-#: does not, so this is the configuration the executor exists for.
-_FLEET_VLEN_BITS = 2048
-
-#: Pairs advanced per fleet workload (the fast leg fuses all of them).
-_FLEET_PAIRS = 64
-
-
-def _fleet_fibers(reps: int, count: int, length: int = 4096):
-    """Extend-loop fibers for ``count`` independent read-pairs.
-
-    Each pair owns a fresh machine; texts differ per pair (staggered
-    mismatch phase) so lanes retire on different iterations across the
-    fleet — the per-pair-retirement case, not the trivial lockstep one.
-    The fiber body is the single-pair replay path: one
-    ``ReplaySession.step`` per extend iteration, exactly as
-    ``vec_extend`` executes it inline.
-    """
-    fibers = []
-    rng = np.random.default_rng(7)
-    pattern = rng.integers(0, 4, length).astype(np.int64)
-    for i in range(count):
-        machine = make_machine(SystemConfig(vlen_bits=_FLEET_VLEN_BITS))
-        text = pattern.copy()
-        off = (13 * i) % 251
-        text[off::251] = (text[off::251] + 1) % 4
-        pbuf = machine.new_buffer("bench_p", pattern, elem_bytes=1)
-        tbuf = machine.new_buffer("bench_t", text, elem_bytes=1)
-        consts = ExtendConsts(machine, length, length, 8)
-        lanes = machine.lanes(64)
-
-        def fiber(machine=machine, pbuf=pbuf, tbuf=tbuf, consts=consts,
-                  lanes=lanes):
-            session = ReplaySession(
-                machine,
-                lambda mm, ss, pbuf=pbuf, tbuf=tbuf, consts=consts: vec_step(
-                    mm, pbuf, tbuf, consts, ss
-                ),
-                name="vec-extend",
-            )
-            for rep in range(reps):
-                starts = (rep * 53) % 1024 + 3 * np.arange(lanes)
-                v = machine.from_values(starts, 64)
-                h = machine.from_values(starts, 64)
-                st = enter_extend(machine, consts, v, h, machine.ptrue(64))
-                while machine.ptest_spec(st.inb):
-                    yield session_step(session, st)
-            machine.barrier()
-            return machine.snapshot()
-
-        fibers.append(fiber())
-    return fibers
-
-
-def _fleet_extend(reps: int):
-    fibers = _fleet_fibers(reps, _FLEET_PAIRS)
-    width = int(getattr(VectorMachine, "use_fleet", 0) or 0)
-    if width >= 2:
-        out = []
-        for lo in range(0, len(fibers), width):
-            out.extend(drive_fleet(fibers[lo : lo + width]))
-        return out
-    return [drive_serial(f) for f in fibers]
-
-
-_FLEET_FIG4_DATASETS: dict = {}
-
-
-def _fleet_fig4(reps: int):
-    # Same shape as _fig4_cell, but through the fleet entry point of
-    # run_implementation: the pinned VectorMachine.use_fleet picks the
-    # width, and fleet >= 1 always means one fresh machine per pair, so
-    # the per-pair results of both legs are comparable (and must match).
-    dataset = _FLEET_FIG4_DATASETS.get(reps)
-    if dataset is None:
-        dataset = _FLEET_FIG4_DATASETS[reps] = build_dataset(
-            "250bp_1", num_pairs=reps, seed=1234
-        )
-    impl = SsVec(threshold=dataset.spec.edit_threshold)
-    result = run_implementation(
-        impl, dataset.pairs,
-        system=SystemConfig(vlen_bits=_FLEET_VLEN_BITS),
-    )
-    return result.pair_results
 
 
 def _memvec_gather(reps: int):
@@ -516,13 +335,6 @@ _WORKLOADS = {
     # dimension flipped to interpreted vs recorded-program execution.
     "replay_extend": _replay_extend,
     "replay_ss": _replay_ss,
-    # The fleet workloads run fleet width 1 vs 64 (per-pair fibers vs
-    # the fused cross-pair executor), batched memory and replay on.
-    "fleet_extend": _fleet_extend,
-    "fleet_fig4": _fleet_fig4,
-    # The trace-tree workload runs replay-without-trees vs the tiered
-    # trace-tree JIT on a divergence-heavy extend loop.
-    "trace_tree": _trace_tree,
     # The memvec workload runs the serial per-request hierarchy walk vs
     # the vectorized memory-model engine (pattern replay) on a
     # repeated-pattern gather stream.
@@ -675,10 +487,10 @@ def run_bench(
         },
         "note": (
             "serial = the slow leg of each workload's dimension "
-            "(per-lane walk, interpreted execution, or fleet width 1); "
-            "batched = the fast leg (access_batch, replay, or fleet "
-            "width 64); both legs are checked for bit-identical "
-            "statistics"
+            "(per-lane walk, interpreted execution, generated numpy or "
+            "the serial hierarchy walk); batched = the fast leg "
+            "(access_batch, replay, numpy-opt or memvec); both legs are "
+            "checked for bit-identical statistics"
         ),
         "workloads": {},
     }
@@ -711,14 +523,9 @@ def run_bench(
 def check_report(report: dict, gate: str = "stride_sweep") -> "list[str]":
     """CI gate: failures if stats diverge or a gated workload regressed.
 
-    Every replay-dimension workload in the report is gated on speedup in
-    addition to ``gate`` — the replay engine must never make a routed
-    loop slower than interpreting it.  Of the fleet workloads only
-    ``fleet_extend`` is speed-gated: it measures the fused kernel
-    itself.  ``fleet_fig4`` is end to end, where short-read cells are
-    Amdahl-limited by per-pair work outside the fused blocks — its
-    contract is bit-identical per-pair results at any fleet width, so
-    it is gated on identity only.
+    Every replay-, backend- and memvec-dimension workload in the report
+    is gated on speedup in addition to ``gate`` — a fast path must never
+    make a routed loop slower than its slow leg.
     """
     failures = []
     for name, cell in report["workloads"].items():
@@ -729,10 +536,7 @@ def check_report(report: dict, gate: str = "stride_sweep") -> "list[str]":
     gated_names = [gate] + sorted(
         name
         for name, cell in report["workloads"].items()
-        if (
-            cell.get("dimension") in ("replay", "tracetree", "backend", "memvec")
-            or name == "fleet_extend"
-        )
+        if cell.get("dimension") in ("replay", "backend", "memvec")
         and name != gate
     )
     for name in gated_names:
@@ -769,7 +573,7 @@ def check_regression(
     warmup weighs more and speedups land lower — the floor scale is
     therefore *direction-aware*: a quick report judged against a full
     baseline loosens the floor by 0.6 (calibrated against the observed
-    quick/full ratio for fleet_extend, with noise headroom), while a
+    quick/full speedup ratios, with noise headroom), while a
     full report judged against a quick baseline tightens it by the
     same factor (the full run should beat the warmup-dominated quick
     number, not hide behind it).
@@ -821,7 +625,7 @@ def render_report(report: dict) -> str:
         dim = cell.get("dimension")
         tag = (
             f" ({dim})"
-            if dim in ("replay", "fleet", "backend", "memvec", "serve")
+            if dim in ("replay", "backend", "memvec", "serve")
             else ""
         )
         if dim == "serve":
@@ -855,9 +659,8 @@ def profile_bench(
     """Run each workload once under cProfile; return the top-N report.
 
     Workloads execute a single rep-scaled pass pinned to the fast leg
-    of their own dimension (batched memory and replay on; fleet width
-    64 for the fleet workloads) — the point is to see where simulator
-    time goes, not to compare legs.
+    of their own dimension (batched memory and replay on) — the point is
+    to see where simulator time goes, not to compare legs.
     """
     import cProfile
     import io

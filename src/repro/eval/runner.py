@@ -90,7 +90,6 @@ def run_implementation(
     machine: VectorMachine | None = None,
     jobs: int = 1,
     shard_size: int | None = None,
-    fleet: int | None = None,
 ) -> RunResult:
     """Simulate ``impl`` over ``pairs`` on one core.
 
@@ -107,16 +106,6 @@ def run_implementation(
     supervisor is active (:mod:`repro.eval.supervise`), the same units
     additionally gain journaling, timeout/retry, and crash recovery —
     still bit-identical.
-
-    ``fleet`` >= 1 (default: :attr:`VectorMachine.use_fleet`, i.e. the
-    ``--fleet N`` / ``REPRO_FLEET`` switch) advances batches of that many
-    pairs in lockstep through the fleet executor
-    (:mod:`repro.vector.fleet`).  Every pair runs on its *own* fresh
-    machine — shard-of-one semantics — so per-pair results are
-    bit-identical at every fleet width (``--fleet 8`` == ``--fleet 1``);
-    only wall-clock changes.  A ``fleet`` request is ignored when an
-    explicit shared ``machine`` is passed or when the run is delegated to
-    worker processes (each worker applies its own fleet setting).
     """
     system = system or SystemConfig()
     if jobs > 1 or shard_size is not None:
@@ -131,10 +120,6 @@ def run_implementation(
             impl, pairs, system=system, quetzal=quetzal,
             jobs=jobs, shard_size=shard_size,
         )
-    if fleet is None:
-        fleet = int(getattr(VectorMachine, "use_fleet", 0) or 0)
-    if fleet >= 1 and machine is None:
-        return _run_fleet(impl, pairs, system, quetzal, fleet)
     if machine is None:
         if quetzal is None and impl.requires_quetzal:
             quetzal = True
@@ -144,33 +129,4 @@ def run_implementation(
     result = RunResult(name=impl.name, system=system)
     for pair in pairs:
         result.pair_results.append(impl.run_pair(machine, pair))
-    return result
-
-
-def _run_fleet(
-    impl: Implementation,
-    pairs: "Iterable[SequencePair] | Sequence[SequencePair]",
-    system: SystemConfig,
-    quetzal: "QuetzalConfig | None | bool",
-    fleet: int,
-) -> RunResult:
-    """Advance ``fleet``-sized batches of pairs through the fleet executor.
-
-    One fresh machine per pair (the shard-of-one semantics): per-pair
-    stats cannot leak across the batch, so any fleet width returns the
-    same per-pair results and the fused kernels only change wall-clock.
-    """
-    from repro.vector.fleet import drive_fleet
-
-    if quetzal is None and impl.requires_quetzal:
-        quetzal = True
-    fleet = max(1, int(fleet))
-    result = RunResult(name=impl.name, system=system)
-    batch = list(pairs)
-    for lo in range(0, len(batch), fleet):
-        fibers = [
-            impl.run_pair_gen(make_machine(system, quetzal), pair)
-            for pair in batch[lo : lo + fleet]
-        ]
-        result.pair_results.extend(drive_fleet(fibers))
     return result

@@ -6,12 +6,7 @@ parallel engine, the calibration-cache traffic
 (:data:`repro.cache.CALIBRATION` hits/misses) attributable to that
 experiment, and the replay-engine effectiveness (replayed vs interpreted
 instruction counts and the fused-block hit rate from
-:data:`repro.vector.program.REPLAY_METER`).  When the fleet executor is
-active the same meter window yields the fleet occupancy line: pair-rows
-per fused batch, the serial-fallback share, and the retirement count
-(see ``ReplayMeter.fleet_*``).  With trace trees on, the window also
-reports the tree shape: compiled depth, side-exit count and the share
-of exits served by a compiled child trace.  When the replay JIT emitted
+:data:`repro.vector.program.REPLAY_METER`).  When the replay JIT emitted
 kernels inside the window, a codegen segment reports the backend that
 ran, the compile-vs-run wall-time split (``compile_s`` vs
 ``kernel_run_s``, with the memory-hierarchy simulation time
@@ -65,35 +60,13 @@ class ExperimentTiming:
         return r.get("replayed_blocks", 0) / total if total else 0.0
 
     @property
-    def fleet_occupancy(self) -> float:
-        """Mean pair-rows per fused fleet kernel call (0.0 when unused)."""
-        r = self.replay or {}
-        batches = r.get("fleet_batches", 0)
-        return r.get("fleet_pairs", 0) / batches if batches else 0.0
-
-    @property
-    def fleet_serial_share(self) -> float:
-        """Fraction of *fusable* fleet rows that still ran serially (their
-        bucket shrank to one pair mid-round, or the group declined).
-
-        Never-fusable serial requests — capture iterations, broken
-        blocks — are excluded from both sides of the ratio: they could
-        not have fused, so counting them would misstate how well the
-        fleet is batching (and singleton rows never count toward the
-        fused-batch occupancy above)."""
-        r = self.replay or {}
-        singleton = r.get("fleet_singleton", 0)
-        total = r.get("fleet_pairs", 0) + singleton
-        return singleton / total if total else 0.0
-
-    @property
     def mem_model_share(self) -> float:
         """Share of the experiment's wall time spent inside the memory
         hierarchy.
 
         The memory-model clock also runs outside replay kernels (the
-        interpreter's indexed accesses, the fleet's serial fallback), so
-        it is a share of wall time, never of ``kernel_run_s``."""
+        interpreter's indexed accesses), so it is a share of wall time,
+        never of ``kernel_run_s``."""
         r = self.replay or {}
         return r.get("mem_model_s", 0.0) / self.seconds if self.seconds else 0.0
 
@@ -105,19 +78,6 @@ class ExperimentTiming:
             "memvec_pattern_misses", 0
         )
         return r.get("memvec_pattern_hits", 0) / total if total else 0.0
-
-    @property
-    def tree_depth(self) -> int:
-        """Deepest compiled trace-tree node in this window (0 = none)."""
-        nodes = (self.replay or {}).get("tree_nodes") or {}
-        return max(nodes) if nodes else 0
-
-    @property
-    def side_exit_hit_rate(self) -> float:
-        """Share of root-guard side exits served by a compiled child."""
-        r = self.replay or {}
-        exits = r.get("side_exits", 0)
-        return r.get("side_exit_replays", 0) / exits if exits else 0.0
 
     def summary(self) -> str:
         """One-line report, appended to the table footer under --verbose."""
@@ -133,28 +93,6 @@ class ExperimentTiming:
             f"replay: {replay.get('replayed_instructions', 0)} instr "
             f"replayed, {replay.get('interpreted_instructions', 0)} "
             f"interpreted, {self.replay_hit_rate:.0%} block hit rate"
-            + (
-                f" | fleet: {replay.get('fleet_pairs', 0)} pair-rows in "
-                f"{replay.get('fleet_batches', 0)} fused batches "
-                f"(occupancy {self.fleet_occupancy:.1f}), "
-                f"{replay.get('fleet_singleton', 0)} unfused singletons "
-                f"({self.fleet_serial_share:.0%} miss share), "
-                f"{replay.get('fleet_serial', 0)} serial, "
-                f"{sum((replay.get('fleet_retired') or {}).values())} "
-                f"retirements"
-                if replay.get("fleet_batches", 0)
-                or replay.get("fleet_serial", 0)
-                or replay.get("fleet_singleton", 0)
-                else ""
-            )
-            + (
-                f" | trees: depth {self.tree_depth}, "
-                f"{replay.get('side_exits', 0)} side exits "
-                f"({self.side_exit_hit_rate:.0%} on compiled children), "
-                f"{replay.get('loop_calls', 0)} loop-kernel calls"
-                if replay.get("tree_nodes") or replay.get("side_exits", 0)
-                else ""
-            )
             + (
                 f" | codegen[{replay.get('backend') or '?'}]: "
                 f"{replay.get('emissions', 0)} emissions, "
@@ -294,10 +232,6 @@ def render_report(records: "list[ExperimentTiming] | None" = None) -> str:
             "replay_instr": r.replay.get("replayed_instructions", 0),
             "interp_instr": r.replay.get("interpreted_instructions", 0),
             "replay_hit_rate": round(r.replay_hit_rate, 3),
-            "fleet_pairs": r.replay.get("fleet_pairs", 0),
-            "fleet_occ": round(r.fleet_occupancy, 1),
-            "tree_depth": r.tree_depth,
-            "exit_hit_rate": round(r.side_exit_hit_rate, 3),
             "backend": r.replay.get("backend", ""),
             "kernel_compiles": r.replay.get("kernel_compiles", 0),
             "kcache_hits": r.replay.get("kernel_cache_hits", 0),

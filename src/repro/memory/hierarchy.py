@@ -126,12 +126,8 @@ class MemoryHierarchy:
         # needs invalidation either.
         self._memvec_patterns: dict = {}
         # Per-stream attempt scores for the memoization layer (see the
-        # hook in _access_batch_scalar) and the caller-set suppression
-        # flag (the fleet fallback path issues batches that already
-        # failed its own residency screen — attempts there mostly
-        # decline, so it opts out wholesale).
+        # hook in _access_batch_scalar).
         self._memvec_score: "dict[int, int]" = {}
-        self._memvec_skip = False
 
     # ------------------------------------------------------------------
     # Allocation
@@ -545,11 +541,7 @@ class MemoryHierarchy:
             )
         (l1, l1_lat, line, not_mask, slot_of, slot_get, tick, pf_flag,
          fill_from_l2, pf, prefetch_rels) = ctx
-        if (
-            pf is not None
-            and self.use_vectorized_memory
-            and not self._memvec_skip
-        ):
+        if pf is not None and self.use_vectorized_memory:
             # Adaptive per-stream scoring keeps the memoization attempt
             # off streams that never pay: replays and fresh compiles
             # feed the score, sightings and declines drain it, and an

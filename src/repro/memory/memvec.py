@@ -354,8 +354,8 @@ def retire_rows(
         if nd:
             # Clean run: every row a single resident line, every emitted
             # target resident — only ticks and counters move.  Distinct
-            # lines keep their *last* touch position, extracted with the
-            # same sorted-key compression the fleet committer uses.
+            # lines keep their *last* touch position, extracted with a
+            # sorted-key compression.
             run_lo = rows_lo[pos : pos + nd]
             pshift = (nd + 1).bit_length()
             key = ((run_lo >> shift) << pshift) | np.arange(

@@ -7,9 +7,8 @@ the same engines into a request/response service:
   schema-versioned records envelope (:mod:`repro.eval.records`).
 * :mod:`repro.serve.admission` — per-tenant token-bucket rate limits and
   a bounded in-flight queue with explicit 429-style rejection.
-* :mod:`repro.serve.coalescer` — groups admitted requests into fleet
-  batches (same-implementation requests fuse through
-  :func:`repro.vector.fleet.drive_fleet`), with a max-wait flush timer
+* :mod:`repro.serve.coalescer` — groups admitted requests into batches
+  of one implementation and configuration, with a max-wait flush timer
   bounding latency under low load.
 * :mod:`repro.serve.engine` — supervise-style batch execution: one
   persistent worker process serving batch after batch, replaced after
@@ -24,9 +23,9 @@ the same engines into a request/response service:
   ``serve`` bench workload and the CI smoke job.
 
 Every response is **bit-identical** to running the same pair through the
-batch CLI (``run_implementation(impl, pairs, fleet=1)`` — one fresh
-machine per pair, the documented fleet semantics): the service never
-trades correctness for throughput, exactly like every prior fast path.
+batch CLI on a fresh machine (``run_implementation(impl, [pair])``, one
+call per pair): the service never trades correctness for throughput,
+exactly like every prior fast path.
 """
 
 from repro.serve.admission import AdmissionController, TokenBucket

@@ -42,9 +42,6 @@ _REQUESTS = (96, 24)
 #: (cell name, offered load as a multiple of measured batch capacity).
 _LOAD_POINTS = (("serve_open", 0.5), ("serve_sat", 3.0))
 
-#: Fleet width both legs execute at (results identical at any width).
-_FLEET = 4
-
 
 def _run_serve_point(requests, rate: float):
     """One open-loop run against a fresh inline server; returns the
@@ -58,7 +55,7 @@ def _run_serve_point(requests, rate: float):
                 max_batch=16,
                 max_wait=0.005,
                 max_pending=0,
-                engine=ServeEngineConfig(workers=0, fleet=_FLEET),
+                engine=ServeEngineConfig(workers=0),
             )
         )
         await server.start()
@@ -85,11 +82,11 @@ def serve_bench_cells(quick: bool = False, rounds: int = 2) -> dict:
     requests = dataset_requests("250bp_1", n, "ss-vec", tenants=2, seed=77)
     # Building the reference doubles as the warmup pass: kernels
     # compile, calibration caches fill, numpy finishes importing.
-    expected = batch_reference_records(requests, fleet=_FLEET)
+    expected = batch_reference_records(requests)
     batch_s = None
     for _ in range(max(1, rounds)):
         start = time.perf_counter()
-        compute_batch(requests, _FLEET)
+        compute_batch(requests, None)
         elapsed = time.perf_counter() - start
         if batch_s is None or elapsed < batch_s:
             batch_s = elapsed

@@ -42,7 +42,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="python -m repro serve",
         description="Async alignment service: JSONL requests in, "
         "bit-identical-to-batch responses out, with per-tenant admission "
-        "control, fleet coalescing, and a crash-isolated worker process.",
+        "control, request batching, and a crash-isolated worker process.",
     )
     transport = parser.add_argument_group("transport (pick one)")
     transport.add_argument(
@@ -64,7 +64,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     batching = parser.add_argument_group("coalescing")
     batching.add_argument(
         "--max-batch", type=int, default=16, metavar="N",
-        help="release a fleet batch when N same-configuration requests "
+        help="release a batch when N same-configuration requests "
         "are pending (default 16)",
     )
     batching.add_argument(
@@ -96,11 +96,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "replaced after a failed attempt); default 1",
     )
     execution.add_argument(
-        "--fleet", type=int, default=4, metavar="N",
-        help="lockstep width batches advance at (one fresh machine per "
-        "pair; results are bit-identical at every width; default 4)",
-    )
-    execution.add_argument(
         "--timeout", type=float, default=120.0, metavar="SECONDS",
         help="per-batch worker timeout (default 120)",
     )
@@ -125,10 +120,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     toggles.add_argument(
         "--no-replay", action="store_true",
         help="interpret every vector op (bit-identical results)",
-    )
-    toggles.add_argument(
-        "--no-trace-trees", action="store_true",
-        help="disable the trace-tree JIT tier (bit-identical results)",
     )
     toggles.add_argument(
         "--no-memvec", action="store_true",
@@ -166,7 +157,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> ServeConfig:
     engine = ServeEngineConfig(
         workers=args.workers,
-        fleet=args.fleet,
         timeout=args.timeout,
         retries=args.retries,
         journal_dir=args.journal,
@@ -208,7 +198,7 @@ async def _smoke(args) -> int:
     requests = dataset_requests(
         args.dataset, args.smoke_requests, args.impl, tenants=2, seed=1234
     )
-    expected = batch_reference_records(requests, fleet=1)
+    expected = batch_reference_records(requests)
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         config = _config_from_args(args)
         config = ServeConfig(
@@ -246,7 +236,6 @@ def serve_main(argv: "list[str]") -> int:
     from repro.cli import (
         _disable_memvec,
         _disable_replay,
-        _disable_trace_trees,
         _set_jit_backend,
     )
 
@@ -256,8 +245,6 @@ def serve_main(argv: "list[str]") -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_trace_trees:
-        _disable_trace_trees()
     if args.no_memvec:
         _disable_memvec()
     _set_jit_backend(args.jit_backend)

@@ -84,9 +84,7 @@ def request_line(request: AlignRequest) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def batch_reference_records(
-    requests: "list[AlignRequest]", fleet: int = 1
-) -> "dict[str, str]":
+def batch_reference_records(requests: "list[AlignRequest]") -> "dict[str, str]":
     """The batch-equivalent response for each request: ``{id: line}``.
 
     Groups by batch key and runs the exact engine compute path
@@ -99,7 +97,7 @@ def batch_reference_records(
     for request in requests:
         groups.setdefault(request.batch_key, []).append(request)
     for group in groups.values():
-        for request, pair_result in zip(group, compute_batch(group, fleet)):
+        for request, pair_result in zip(group, compute_batch(group, None)):
             expected[request.id] = canonical_encode(
                 response_record(request, pair_result)
             )

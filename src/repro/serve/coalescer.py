@@ -1,11 +1,10 @@
-"""Request coalescer: group admitted requests into fleet batches.
+"""Request coalescer: group admitted requests into batches.
 
 Admitted requests queue here until a batch is *due*.  Requests sharing a
 :attr:`~repro.serve.protocol.AlignRequest.batch_key` — same
-implementation, parameters, and vector width — may fuse into one fleet
-batch, exactly the bucketing :func:`repro.vector.fleet.drive_fleet`
-applies per step; mixing keys in a batch would be wasted work because
-the fleet driver would immediately split them again.
+implementation, parameters, and vector width — share one batch, which
+the engine runs with one implementation object and one system
+configuration.
 
 Two triggers release a batch:
 

@@ -26,12 +26,12 @@ one response record per request, in order.  Execution mirrors
 * **Fault injection.**  The same ``ORDINAL:ACTION[@ATTEMPT]`` grammar as
   ``--fault-plan``, with ORDINAL addressing *batches* in execution
   order.
-* **Determinism.**  Batches always execute through
-  ``run_implementation(..., fleet=w)`` with ``w >= 1`` — one fresh
-  machine per pair — so a response never depends on which batch carried
-  the request, and :func:`repro.eval.timing.reset_run_meters` runs
-  before every batch so a long-lived serve process meters each run from
-  zero exactly like a fresh CLI invocation.
+* **Determinism.**  Every pair of a batch runs through
+  ``run_implementation(impl, [pair])`` on its own fresh machine, so a
+  response never depends on which batch carried the request, and
+  :func:`repro.eval.timing.reset_run_meters` runs before every batch so
+  a long-lived serve process meters each run from zero exactly like a
+  fresh CLI invocation.
 
 Inline mode (``workers=0``) executes batches in-process — no fork, no
 timeout enforcement — for fast tests, the conformance grid and
@@ -79,8 +79,6 @@ def _toggles_snapshot() -> tuple:
     return (
         VectorMachine.use_batched_memory,
         VectorMachine.use_replay,
-        VectorMachine.use_fleet,
-        VectorMachine.use_trace_trees,
         VectorMachine.jit_backend,
         MemoryHierarchy.use_vectorized_memory,
     )
@@ -93,36 +91,37 @@ def _apply_toggles(toggles: tuple) -> None:
     (
         VectorMachine.use_batched_memory,
         VectorMachine.use_replay,
-        VectorMachine.use_fleet,
-        VectorMachine.use_trace_trees,
         VectorMachine.jit_backend,
         MemoryHierarchy.use_vectorized_memory,
     ) = toggles
 
 
-def compute_batch(requests: "list[AlignRequest]", fleet: int) -> list:
+def compute_batch(requests: "list[AlignRequest]", fleet=None) -> list:
     """Simulate one coalesced batch; returns per-request ``PairResult``s.
 
     The meters are reset first so every batch runs from a zero meter
     state — the same contract ``evaluate_units`` gives each CLI run.
-    ``fleet`` is clamped to >= 1: the fleet path builds one fresh
-    machine per pair, which is what makes serve responses independent
-    of batch composition.
+    Each pair runs on its own fresh machine, which is what makes serve
+    responses independent of batch composition.
+
+    ``fleet`` is ignored.  It stays because the benchmark's tracer
+    (``perfbench/tracing.py``) replaces this function with a wrapper
+    of the shape ``(requests, fleet)``; callers pass it positionally.
     """
     if not requests:
         return []
     timing.reset_run_meters()
     impl = requests[0].make_impl()
     system = requests[0].system()
-    pairs = [request.make_pair() for request in requests]
-    result = run_implementation(
-        impl, pairs, system=system, fleet=max(1, int(fleet))
-    )
-    return result.pair_results
+    return [
+        run_implementation(impl, [request.make_pair()], system=system)
+        .pair_results[0]
+        for request in requests
+    ]
 
 
 def _worker_main(
-    conn, parent_end, fleet, toggles, fault_spec, cache_dir
+    conn, parent_end, toggles, fault_spec, cache_dir
 ) -> None:  # pragma: no cover — runs in a child process
     """Entry point of the persistent serve worker.
 
@@ -155,7 +154,7 @@ def _worker_main(
                 break
             if plan is not None:
                 _trigger_in_worker(plan.lookup(ordinal, attempt))
-            conn.send(("ok", compute_batch(requests, fleet)))
+            conn.send(("ok", compute_batch(requests, None)))
     except BaseException as exc:  # report, then die: nothing to salvage
         try:
             conn.send(("error", f"exception:{type(exc).__name__}: {exc}"))
@@ -206,9 +205,7 @@ class _Worker:
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(
-                child, self.conn, config.fleet, toggles, fault_spec, cache_dir,
-            ),
+            args=(child, self.conn, toggles, fault_spec, cache_dir),
             daemon=True,
         )
         self.proc.start()
@@ -224,13 +221,11 @@ class ServeEngineConfig:
 
     ``workers=0`` selects inline (in-process) execution, ``workers=1``
     one persistent worker process (the server runs one batch at a time,
-    so more workers would idle).  ``fleet`` is the lockstep width
-    batches advance at (>= 1; results are identical at every width).
-    ``journal_dir=None`` disables the journal.
+    so more workers would idle).  ``journal_dir=None`` disables the
+    journal.
     """
 
     workers: int = 1
-    fleet: int = 4
     timeout: float = 120.0
     retries: int = 2
     backoff: float = 0.05
@@ -242,8 +237,6 @@ class ServeEngineConfig:
             raise ServeError(
                 f"workers must be 0 (inline) or 1: {self.workers}"
             )
-        if self.fleet < 1:
-            raise ServeError(f"fleet width must be >= 1: {self.fleet}")
         if self.timeout <= 0:
             raise ServeError(f"batch timeout must be positive: {self.timeout}")
         if self.retries < 0:
@@ -370,7 +363,7 @@ class ServeEngine:
                 raise InjectedFault(
                     f"injected {action} fault (inline: no worker to kill)"
                 )
-            return compute_batch(requests, self.config.fleet)
+            return compute_batch(requests, None)
         except Exception as exc:
             return f"exception:{type(exc).__name__}: {exc}"
 

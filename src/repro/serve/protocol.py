@@ -77,7 +77,7 @@ class AlignRequest:
 
     @property
     def batch_key(self) -> tuple:
-        """Requests sharing this key may execute in one fleet batch."""
+        """Requests sharing this key may execute in one batch."""
         return (self.impl, self.params, self.vlen_bits)
 
     def make_impl(self) -> Implementation:

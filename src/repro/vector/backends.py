@@ -7,8 +7,8 @@ into the callable kernel.  Three backends are registered:
 
 ``numpy``
     The seed behavior: compile the neutral source verbatim.  One
-    temporary array is allocated per op and every guard predicate pays
-    a separate ``.any()``/``.all()`` reduction.
+    temporary array is allocated per op and every masked input's
+    regime test is a ``.all()`` method call.
 
 ``numpy-opt`` (the default)
     A source-level optimizer over the same neutral source:
@@ -19,10 +19,9 @@ into the callable kernel.  Three backends are registered:
       serve stale values).
     * **Dead-temporary elimination** — pure computes whose slot is
       never read again are dropped before any buffers are leased.
-    * **Guard fusion** — a ``dN.any()`` / ``dN.all()`` pair on the same
-      predicate becomes one ``count_nonzero`` (the single biggest win
-      on small lane counts: one C reduction instead of two Python
-      method chains).
+    * **Guard fusion** — each masked input's ``dN.all()`` regime test
+      becomes one ``count_nonzero`` (one C reduction instead of a
+      Python method chain).
     * **``out=``-rewriting into a scratch-buffer arena** — every
       unconditional compute of a non-escaping slot writes into a
       pooled, dtype-stable buffer leased from :data:`ARENA`, so
@@ -30,11 +29,6 @@ into the callable kernel.  Three backends are registered:
       ``np.maximum`` take the ``out=`` keyword (their positional third
       argument is a deprecated slow path); every other ufunc takes it
       positionally.
-    * **Loop unrolling x2** — loop-in-kernel bodies alternate between
-      two arena buffer sets so iteration ``i+1``'s writes can never
-      clobber values carried from iteration ``i``; the carried arrays
-      are copied out once per *call* (not per iteration) before they
-      escape through the return tuple.
 
 ``numba``
     Optional: CSE + DTE, then maximal straight-line ALU runs are lifted
@@ -47,10 +41,10 @@ Every backend is stats-identity gated by the conformance grid: the
 rewrites above change *how* values are computed, never the values, the
 clock arithmetic, or the counter updates.
 
-Emitted kernels are memoized per backend on the neutral source (the
-same key the fleet executor buckets on) and persisted to a CRC-guarded
-on-disk cache under ``.repro_cache/kernels/`` — see
-:func:`kernel_cache.load` for the corruption-tolerant load path.
+Emitted kernels are memoized per backend on the neutral source and
+persisted to a CRC-guarded on-disk cache under
+``.repro_cache/kernels/`` — see :func:`kernel_cache.load` for the
+corruption-tolerant load path.
 """
 
 from __future__ import annotations
@@ -177,28 +171,23 @@ class KernelIR:
 
     ``head``/``body``/``tail`` are the neutral source lines exactly as
     the seed emitter produced them; ``source`` (their join) is the
-    identity key — for the in-memory and on-disk kernel caches and for
-    fleet bucketing.  ``temps`` maps every non-input, non-external slot
-    to its ``(shape, dtype)`` so backends can lease arena storage;
-    shapes are per-recording, never persisted.  ``outs`` names the
-    subset of ``temps`` that escapes through the return tuple: such a
-    slot may only take an arena buffer in loop mode, where the escape
-    copy (:func:`_copy_escapes`) protects the caller.
+    identity key for the in-memory and on-disk kernel caches.
+    ``temps`` maps every non-input, non-external slot to its ``(shape,
+    dtype)`` so backends can lease arena storage; shapes are
+    per-recording, never persisted.  ``outs`` names the subset of
+    ``temps`` that escapes through the return tuple: such a slot never
+    takes an arena buffer, because the caller holds it across calls.
     """
 
-    __slots__ = (
-        "head", "body", "tail", "env", "temps", "outs", "loop", "source",
-    )
+    __slots__ = ("head", "body", "tail", "env", "temps", "outs", "source")
 
-    def __init__(self, head, body, tail, env, temps, loop=False,
-                 outs=frozenset()):
+    def __init__(self, head, body, tail, env, temps, outs=frozenset()):
         self.head = head
         self.body = body
         self.tail = tail
         self.env = env
         self.temps = temps
         self.outs = outs
-        self.loop = loop
         self.source = "\n".join(head + body + tail) + "\n"
 
 
@@ -218,6 +207,8 @@ _TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
 #: buffer methods, machine calls) marks the line impure.
 _PURE_TOKEN = re.compile(r"^(?:d\d+|x\d+|_k\d+|p|_b_\w+|_c_\w+|_wh|_i64|_full|_ctz|_clz|_rbit)$")
 
+#: The per-call predicate regime the emitter computes for a masked input.
+_GUARD_RE = re.compile(r"^(\s*)g(\d+) = bool\(d(\d+)\.all\(\)\)$")
 _MERGE_RE = re.compile(r"^_wh\(d(\d+), d(\d+), d(\d+)\)$")
 _CALL_RE = re.compile(r"^(_b_\w+|_c_\w+|_ctzs)\((.*)\)$")
 _FULL_RE = re.compile(r"^_full\(\d+, (.*)\)$")
@@ -301,65 +292,19 @@ def _dte_pass(head, body, tail, temps, base):
 
 
 def _fuse_guards(lines):
-    """One ``count_nonzero`` instead of an ``any()``/``all()`` pair.
-
-    The emitter's guard shapes::
-
-        if not dN.any():            ->  tz = _nz(dN)
-            ...                         if not tz:
-        if not (dN.all()): ...      ->  if tz != dN.size: ...
-        gN = bool(dN.all())         ->  gN = tz == dN.size
-        if not dN.all(): return ... ->  if _nz(dN) != dN.size: return ...
-
-    ``tz`` is only trusted between the ``.any()`` site and the next
-    write of ``dN`` — within one guard block that is guaranteed (the
-    guard precedes every compute).
-    """
+    """``gN = bool(dN.all())`` -> ``gN = _nz(dN) == dN.size``: one
+    ``count_nonzero`` C call instead of a Python method chain."""
     out = []
-    counted: str | None = None
     for line in lines:
-        stripped = line.strip()
-        indent = line[: len(line) - len(stripped)]
-        m = re.match(r"^if not d(\d+)\.any\(\):$", stripped)
+        m = _GUARD_RE.match(line)
         if m:
-            counted = m.group(1)
-            out.append(f"{indent}tz = _nz(d{counted})")
-            out.append(f"{indent}if not tz:")
-            continue
-        if counted is not None:
-            m = re.match(
-                r"^if not \(d(\d+)\.all\(\)\): (.*)$", stripped
-            )
-            if m and m.group(1) == counted:
-                out.append(
-                    f"{indent}if tz != d{counted}.size: {m.group(2)}"
-                )
-                continue
-            m = re.match(r"^g(\d+) = bool\(d(\d+)\.all\(\)\)$", stripped)
-            if m and m.group(2) == counted:
-                out.append(
-                    f"{indent}g{m.group(1)} = tz == d{counted}.size"
-                )
-                continue
-        m = re.match(r"^if not d(\d+)\.all\(\): return None$", stripped)
-        if m:
-            out.append(
-                f"{indent}if _nz(d{m.group(1)}) != d{m.group(1)}.size: "
-                "return None"
-            )
-            continue
-        m = re.match(r"^g(\d+) = bool\(d(\d+)\.all\(\)\)$", stripped)
-        if m:
-            out.append(
-                f"{indent}g{m.group(1)} = _nz(d{m.group(2)}) == "
-                f"d{m.group(2)}.size"
-            )
-            continue
+            indent, g, d = m.groups()
+            line = f"{indent}g{g} = _nz(d{d}) == d{d}.size"
         out.append(line)
     return out
 
 
-def _arena_pass(lines, temps, base, suffix, bufs):
+def _arena_pass(lines, temps, base, bufs):
     """``out=``-rewrite unconditional computes of non-escaping slots
     into arena buffers.
 
@@ -374,15 +319,14 @@ def _arena_pass(lines, temps, base, suffix, bufs):
     out = []
 
     def buf(slot):
-        bufs.add(("t", slot, suffix))
-        return f"_t{slot}{suffix}"
+        bufs.add(("t", slot))
+        return f"_t{slot}"
 
     def mask(slot):
-        bufs.add(("m", slot, suffix))
-        return f"_m{slot}{suffix}"
+        bufs.add(("m", slot))
+        return f"_m{slot}"
 
     def rewrite(slot, rhs, cond):
-        t = f"_t{slot}{suffix}"
         m = _MERGE_RE.match(rhs)
         if m:
             p, mid, a = (int(g) for g in m.groups())
@@ -474,43 +418,6 @@ def _cheap_scalar_min(lines):
     ]
 
 
-_WINDOWS_RE = re.compile(r"\bx(\d+)\.packed_windows\(\)")
-
-
-def _hoist_windows(head, body, loop):
-    """Hoist loop-invariant ``xN.packed_windows()`` lookups to the head.
-
-    The packed-window table is cached on the buffer and invalidated by
-    writes, so the hoist is only sound when nothing in the kernel can
-    write the buffer — conservatively: when ``packed_windows`` is the
-    *only* attribute the kernel ever touches on ``xN``.  Applied to
-    loop kernels only (a straight-line kernel evaluates the lookup once
-    either way).
-    """
-    if not loop:
-        return head, body
-    text = "\n".join(head + body)
-    repl = {}
-    for n in sorted({int(g) for g in _WINDOWS_RE.findall(text)}):
-        if set(re.findall(rf"\bx{n}\.(\w+)", text)) == {"packed_windows"}:
-            repl[f"x{n}.packed_windows()"] = f"_win{n}"
-    if not repl:
-        return head, body
-
-    def sub(line):
-        for old, new in repl.items():
-            if old in line:
-                line = line.replace(old, new)
-        return line
-
-    body = [sub(line) for line in body]
-    wi = head.index(I + "while True:")
-    hoists = [
-        f"{I}{new} = {old}" for old, new in sorted(repl.items())
-    ]
-    return head[:wi] + hoists + head[wi:], body
-
-
 _CTZ_LINE_RE = re.compile(r"^(\s*)d(\d+) = _ctz\(d(\d+)\)$")
 
 
@@ -588,10 +495,11 @@ def _make_fast_imem(buf):
 
     base = buf.base
     eb = buf.elem_bytes
-    # Arena for the issue path: loop kernels gather the same lane set
-    # every iteration, so the last lanes -> addrs translation is kept
-    # per entry and reused on a C-level list compare (vectorized memory
-    # engine only; pure address arithmetic, bit-identical either way).
+    # Memo for the issue path: a replayed block often gathers the same
+    # lane set call after call, so the last lanes -> addrs translation
+    # is kept per entry and reused on a C-level list compare (vectorized
+    # memory engine only; pure address arithmetic, bit-identical either
+    # way).
     memo = [None, None]
 
     def _imf(mach, indices, size_bytes, sid):
@@ -673,27 +581,6 @@ def _share_tolist(lines):
             )
         out[c] = line.replace(f"_imf{n}(_mach, ti, ", f"_imf{n}(_mach, tj, ")
     return "\n".join(out).split("\n")
-
-
-_RET_SLOT_RE = re.compile(r"_[vp]w\(d(\d+)")
-
-
-def _copy_escapes(tail, bufs):
-    """Loop kernels hand carried state back through the return tuple;
-    when that state may live in an arena buffer it must be copied out
-    once per call, or the next kernel's scratch writes would corrupt
-    the caller's registers."""
-    if not bufs:
-        return tail
-    out = []
-    for line in tail:
-        stripped = line.strip()
-        if stripped.startswith("return ("):
-            indent = line[: len(line) - len(stripped)]
-            for slot in dict.fromkeys(_RET_SLOT_RE.findall(stripped)):
-                out.append(f"{indent}d{slot} = d{slot}.copy()")
-        out.append(line)
-    return out
 
 
 def _helpers_env():
@@ -817,7 +704,7 @@ class NumpyOptBackend(_SourceBackend):
     """Optimizing source backend (see module docstring for the passes)."""
 
     name = "numpy-opt"
-    cache_version = 3
+    cache_version = 4
 
     def _lower(self, ir: KernelIR):
         head = list(ir.head)
@@ -825,46 +712,29 @@ class NumpyOptBackend(_SourceBackend):
         bufs: set = set()
         imem: set = set()
         # Output slots never serve as CSE/DTE material (an alias could
-        # outlive a later in-place store), but in loop mode they may
-        # take arena buffers: the carried values escape only through
-        # the return tuple, which _copy_escapes protects.
+        # outlive a later in-place store) nor take arena buffers.
         plain = {s: v for s, v in ir.temps.items() if s not in ir.outs}
-        if ir.loop:
-            base = I * 2
-            body = _cse_pass(ir.body, plain)
-            body = _dte_pass(head, body, tail, plain, base)
-            wi = head.index(I + "while True:")
-            per = _cheap_scalar_min(_fuse_guards(head[wi + 1:] + body))
-            per = _fuse_ctz(per, plain, ir.env)
-            per = _share_tolist(_fast_imem(per, imem))
-            head = head[:wi + 1]
-            body = _arena_pass(per, ir.temps, base, "", bufs)
-            body += _arena_pass(per, ir.temps, base, "b", bufs)
-            head, body = _hoist_windows(head, body, loop=True)
-            tail = _copy_escapes(tail, bufs)
-        else:
-            base = I
-            body = _cse_pass(ir.body, plain)
-            body = _dte_pass(head, body, tail, plain, base)
-            head = _fuse_guards(head)
-            body = _cheap_scalar_min(body)
-            body = _fuse_ctz(body, plain, ir.env)
-            body = _share_tolist(_fast_imem(body, imem))
-            body = _arena_pass(body, plain, base, "", bufs)
+        body = _cse_pass(ir.body, plain)
+        body = _dte_pass(head, body, tail, plain, I)
+        head = _fuse_guards(head)
+        body = _cheap_scalar_min(body)
+        body = _fuse_ctz(body, plain, ir.env)
+        body = _share_tolist(_fast_imem(body, imem))
+        body = _arena_pass(body, plain, I, bufs)
         source = "\n".join(head + body + tail) + "\n"
         return source, {"bufs": sorted(bufs), "imem": sorted(imem)}
 
     def _bind(self, env: dict, ir: KernelIR, meta: dict) -> None:
         env.update(_helpers_env())
         counters: dict = {}
-        for kind, slot, suffix in meta.get("bufs", ()):
+        for kind, slot in meta.get("bufs", ()):
             shape, dtype = ir.temps[slot]
             if kind == "m":
                 dtype = "bool"
-            pkey = (kind, dtype, tuple(shape), suffix)
+            pkey = (kind, dtype, tuple(shape))
             ordinal = counters.get(pkey, 0)
             counters[pkey] = ordinal + 1
-            env[f"_{kind}{slot}{suffix}"] = ARENA.lease(
+            env[f"_{kind}{slot}"] = ARENA.lease(
                 pkey + (ordinal,), shape, dtype
             )
         for n in meta.get("imem", ()):
@@ -1029,14 +899,11 @@ class NumbaBackend(_SourceBackend):
         return super().emit(ir)
 
     def _lower(self, ir: KernelIR):
-        base = I * 2 if ir.loop else I
         plain = {s: v for s, v in ir.temps.items() if s not in ir.outs}
         body = _cse_pass(ir.body, plain)
-        body = _dte_pass(
-            list(ir.head), body, list(ir.tail), plain, base
-        )
+        body = _dte_pass(list(ir.head), body, list(ir.tail), plain, I)
         after_text = "\n".join(ir.tail)
-        body, helpers = _lift_segments(body, base, after_text)
+        body, helpers = _lift_segments(body, I, after_text)
         source = "\n".join(helpers + list(ir.head) + body + list(ir.tail))
         return source + "\n", {}
 

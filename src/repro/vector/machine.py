@@ -188,18 +188,6 @@ class VectorMachine:
     #: var also reaches spawned worker processes).
     use_replay = os.environ.get("REPRO_NO_REPLAY", "") not in ("1", "true", "yes")
 
-    #: Grow each replayed block into a trace tree: the first capture is
-    #: specialised to its entry predicate regime, regime-guard failures
-    #: become compiled side-exit (child) traces, and standalone guard
-    #: loops run loop-in-kernel (see ``ReplaySession.run_loop``).  All
-    #: of it is bit-identical in statistics, clock and stall
-    #: attribution (enforced by the conformance grid and
-    #: ``repro bench --check``); disable with ``--no-trace-trees`` or
-    #: ``REPRO_NO_TRACE_TREES=1`` (the env var also reaches spawned
-    #: worker processes).  Only active while ``use_replay`` is on.
-    use_trace_trees = os.environ.get("REPRO_NO_TRACE_TREES", "") not in (
-        "1", "true", "yes")
-
     #: Attach an event tracer to every machine at construction
     #: (``REPRO_TRACE=1``).  Tracing is observability only — statistics,
     #: clock and results are bit-identical with it on or off (enforced
@@ -208,16 +196,6 @@ class VectorMachine:
     #: instances may override before construction via subclassing or
     #: after via ``attach_tracer``/``detach_tracer``.
     auto_trace = os.environ.get("REPRO_TRACE", "") not in ("", "0", "false")
-
-    #: Fleet width for cross-pair batched execution (``repro.vector.fleet``):
-    #: the eval runner advances up to ``use_fleet`` read-pairs in lockstep,
-    #: each on its own fresh machine, fusing structurally identical replay
-    #: blocks into one kernel over the pair axis.  0 disables the fleet
-    #: driver entirely; any value >= 1 switches the runner to
-    #: fresh-machine-per-pair (sharding) semantics, so every fleet width
-    #: is bit-identical per pair to ``use_fleet=1``.  Set with ``--fleet``
-    #: or ``REPRO_FLEET`` (the env var reaches worker processes).
-    use_fleet = int(os.environ.get("REPRO_FLEET", "0") or 0)
 
     #: Codegen backend for compiled replay kernels
     #: (:mod:`repro.vector.backends`): ``numpy`` emits the neutral
@@ -274,8 +252,8 @@ class VectorMachine:
         # Per-prefix buffer-name sequences (``name_uid``): keeping the
         # sequence machine-local makes buffer names — and the prefetch
         # stream ids derived from them — independent of how many other
-        # machines run interleaved in the same process (fleet execution,
-        # sharded pools).
+        # machines ran before in the same process (sharded pools,
+        # serve).
         self._name_seq: dict[str, int] = {}
         # Hot latency constants (``SystemConfig`` is frozen, so these
         # cannot go stale): cached to avoid attribute chains per issue.
@@ -473,9 +451,9 @@ class VectorMachine:
         """Next per-machine sequence number for buffer names.
 
         On a machine running one pair after another this reproduces the
-        old module-global counters; with many machines interleaved (the
-        fleet executor) each pair still sees the deterministic sequence
-        0, 1, 2, ... regardless of fleet width or scheduling order.
+        old module-global counters; with many machines in one process
+        (sharded runs, serve) each pair still sees the deterministic
+        sequence 0, 1, 2, ... regardless of what ran before it.
         Only name *distinctness* within a machine matters for statistics
         (stream ids are dictionary keys), so the renumbering is
         stats-neutral on fresh machines.

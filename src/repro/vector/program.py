@@ -35,16 +35,15 @@ code.
 Captured programs live on per-pair objects, so the same block is
 captured again for every pair.  The kernel source is therefore emitted
 once per *block shape* (:class:`_Shape`: everything the emitter reads —
-op structure, inlined constants, slot layout, regime, latencies, loop
-flag, backend) and kept in a bounded table; every later capture of that
-shape only binds its own values (buffers, baked constants, stream ids,
-externals, the machine) into a fresh env and hands the shared source to
-the backend, whose memory and disk caches serve the code.
+op structure, inlined constants, slot layout, latencies, backend) and
+kept in a bounded table; every later capture of that shape only binds
+its own values (buffers, baked constants, stream ids, externals, the
+machine) into a fresh env and hands the shared source to the backend,
+whose memory and disk caches serve the code.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
@@ -76,42 +75,17 @@ class CaptureUnsupported(MachineError):
 class ReplayMeter:
     """Process-wide counts of captured / replayed / interpreted blocks.
 
-    The ``fleet_*`` fields meter the cross-pair fleet executor
-    (:mod:`repro.vector.fleet`): ``fleet_batches`` fused kernel calls
-    advanced ``fleet_pairs`` pair-rows in total (their ratio is the mean
-    fleet occupancy), ``fleet_serial`` requests ran one-by-one under the
-    fleet driver because they were never fusable (capture iterations,
-    broken blocks), ``fleet_singleton`` requests *had* a compiled
-    program but still ran serially (their bucket shrank to one pair
-    mid-round, or the fused group declined) — the true fusion misses,
-    and ``fleet_retired`` histograms how many pairs were still live each
-    time one pair retired from its fleet — an under-filled fleet shows
-    up as low occupancy and early retirements.
-
-    The trace-tree fields meter the tiered JIT: ``total_blocks`` counts
-    every block execution routed through a replay-aware site, and the
-    conservation invariant ``captures + replayed_blocks +
-    interpreted_blocks + broken == total_blocks`` must hold at all
-    times.  ``side_exits`` counts regime-guard failures on a compiled
-    root trace, ``side_exit_traces`` the child traces compiled for
-    those exits, ``side_exit_replays`` the side exits whose pending
-    block ran as a compiled child trace instead of dropping to the
-    interpreter, ``warmup_skips`` the executions interpreted while a
-    block (or exit) was still below its warmup threshold, and
-    ``tree_nodes`` histograms compiled nodes by tree depth (0 = root).
-    ``loop_calls``/``loop_iters`` meter the loop-in-kernel path: one
-    call drives many guard+body iterations inside a single compiled
-    function.
+    ``total_blocks`` counts every block execution routed through a
+    replay-aware site, and the conservation invariant ``captures +
+    replayed_blocks + interpreted_blocks + broken == total_blocks``
+    must hold at all times.  ``kernel_run_s`` is the wall time spent
+    inside compiled kernels.
     """
 
     __slots__ = (
         "captures", "replayed_blocks", "replayed_instructions",
         "interpreted_blocks", "interpreted_instructions", "broken",
-        "total_blocks", "side_exits", "side_exit_traces",
-        "side_exit_replays", "warmup_skips", "loop_calls", "loop_iters",
-        "kernel_run_s", "tree_nodes",
-        "fleet_batches", "fleet_pairs", "fleet_serial", "fleet_singleton",
-        "fleet_retired",
+        "total_blocks", "kernel_run_s",
     )
 
     def __init__(self) -> None:
@@ -134,20 +108,8 @@ class ReplayMeter:
         self.interpreted_instructions = 0
         self.broken = 0
         self.total_blocks = 0
-        self.side_exits = 0
-        self.side_exit_traces = 0
-        self.side_exit_replays = 0
-        self.warmup_skips = 0
-        self.loop_calls = 0
-        self.loop_iters = 0
         self.kernel_run_s = 0.0
         MEM_MODEL_CLOCK.reset()
-        self.tree_nodes: dict = {}
-        self.fleet_batches = 0
-        self.fleet_pairs = 0
-        self.fleet_serial = 0
-        self.fleet_singleton = 0
-        self.fleet_retired: dict = {}
 
     def snapshot(self) -> dict:
         from repro.memory.memvec import MEMVEC_METER
@@ -175,20 +137,8 @@ class ReplayMeter:
             "interpreted_instructions": self.interpreted_instructions,
             "broken": self.broken,
             "total_blocks": self.total_blocks,
-            "side_exits": self.side_exits,
-            "side_exit_traces": self.side_exit_traces,
-            "side_exit_replays": self.side_exit_replays,
-            "warmup_skips": self.warmup_skips,
-            "loop_calls": self.loop_calls,
-            "loop_iters": self.loop_iters,
             "kernel_run_s": self.kernel_run_s,
             "mem_model_s": MEM_MODEL_CLOCK.s,
-            "tree_nodes": dict(self.tree_nodes),
-            "fleet_batches": self.fleet_batches,
-            "fleet_pairs": self.fleet_pairs,
-            "fleet_serial": self.fleet_serial,
-            "fleet_singleton": self.fleet_singleton,
-            "fleet_retired": dict(self.fleet_retired),
         }
 
     def delta(self, before: dict) -> dict:
@@ -205,24 +155,9 @@ class ReplayMeter:
         return out
 
     @property
-    def fleet_occupancy(self) -> float:
-        """Mean live pairs per fused fleet step (0.0 when unused)."""
-        return self.fleet_pairs / self.fleet_batches if self.fleet_batches else 0.0
-
-    @property
     def hit_rate(self) -> float:
         total = self.replayed_blocks + self.interpreted_blocks + self.captures
         return self.replayed_blocks / total if total else 0.0
-
-    @property
-    def side_exit_hit_rate(self) -> float:
-        """Fraction of root-guard side exits served by a compiled child."""
-        return self.side_exit_replays / self.side_exits if self.side_exits else 0.0
-
-    @property
-    def tree_depth(self) -> int:
-        """Deepest compiled trace-tree node (0 = straight-line roots only)."""
-        return max(self.tree_nodes) if self.tree_nodes else 0
 
 
 REPLAY_METER = ReplayMeter()
@@ -717,12 +652,12 @@ class Recorder:
         return wrapper
 
     # -- program assembly ----------------------------------------------
-    def finish(self, outputs, specialize: bool = False) -> "RecordedProgram | None":
+    def finish(self, outputs) -> "RecordedProgram | None":
         if self.broken or not self.ops:
             REPLAY_METER.broken += 1
             return None
         out_slots = [self._slot(r) for r in (outputs or ())]
-        return _compile(self, out_slots, specialize=specialize)
+        return _compile(self, out_slots)
 
 
 # ----------------------------------------------------------------------
@@ -733,30 +668,8 @@ class Recorder:
 _EMISSIONS: dict = {}
 
 
-def _compile(
-    rec: Recorder,
-    out_slots: list[int],
-    specialize: bool = False,
-    spec: "frozenset | None" = None,
-    loop: bool = False,
-) -> "RecordedProgram":
+def _compile(rec: Recorder, out_slots: list[int]) -> "RecordedProgram":
     """Compile the recorded block into one replay function.
-
-    ``specialize`` derives a predicate *regime* from the capture-entry
-    values: every input predicate that entered all-true is assumed
-    all-true at replay too, so its merges and masked memory legs drop
-    out of the emitted code.  A regime guard protects the assumption
-    (straight-line programs decline with ``None``; loop kernels take a
-    side exit), which is what turns a guard failure into a trace-tree
-    branch point instead of a silent wrong answer.  ``spec`` passes a
-    previously computed regime set explicitly (used when re-emitting
-    the same recording as a loop kernel).
-
-    ``loop`` wraps the block in its own ``ptest_spec`` guard loop: the
-    emitted function drives guard + body + state rebinding until the
-    carried predicate drains (or the regime breaks), with the exact
-    per-iteration scoreboard accounting compiled in and the
-    loop-invariant external-register guard hoisted to trace entry.
 
     The source is emitted once per :class:`_Shape` (metered on
     ``CODEGEN_METER.emissions``); every capture binds its own values
@@ -764,7 +677,7 @@ def _compile(
     still comes from the backend's memory and disk caches.
     """
     backend = resolve_backend(getattr(rec.machine, "jit_backend", None))
-    shape = _shape(rec, out_slots, specialize, spec, loop, backend.name)
+    shape = _shape(rec, out_slots, backend.name)
     em = _EMISSIONS.get(shape)
     if em is None:
         em = _emit(shape)
@@ -772,12 +685,10 @@ def _compile(
         if len(_EMISSIONS) >= 256:
             _EMISSIONS.clear()
         _EMISSIONS[shape] = em
-    ir = KernelIR(em.head, em.body, em.tail, em.bind(rec), em.temps, loop,
+    ir = KernelIR(em.head, em.body, em.tail, em.bind(rec), em.temps,
                   outs=em.outs)
-    fn = backend.emit(ir)
     return RecordedProgram(
-        fn, len(shape.ops), ir.source, rec, out_slots, shape.spec,
-        backend=backend.name,
+        backend.emit(ir), len(shape.ops), ir.source, backend=backend.name
     )
 
 
@@ -793,9 +704,8 @@ class _Shape(NamedTuple):
     """
 
     backend: str
-    loop: bool
     #: lat_vector_arith, lat_predicate, L1 load-to-use, lat_gather_base,
-    #: lat_vector_load_extra, mispredict_penalty.
+    #: lat_vector_load_extra.
     latencies: tuple
     #: Per op, its ``(field, value)`` items minus the bound fields.
     ops: tuple
@@ -807,9 +717,8 @@ class _Shape(NamedTuple):
     ispred: tuple
     externals: tuple
     out_slots: tuple
-    #: Input predicates used as op predicates, and the regime subset.
+    #: Input predicates used as op predicates.
     pall: frozenset
-    spec: frozenset
     #: Whether the head checks the externals' ready bound (``_eg``).
     ext_guard: bool
     #: Per slot, ``(data shape, dtype)``; None for inputs and externals.
@@ -855,24 +764,12 @@ def _ext_bound(rec: Recorder, out_slots) -> int:
     return bound
 
 
-def _shape(rec: Recorder, out_slots, specialize, spec, loop,
-           backend: str) -> _Shape:
+def _shape(rec: Recorder, out_slots, backend: str) -> _Shape:
     sys_ = rec.machine.system
     used_as_pred = {op.get("p") for op in rec.ops}
     pall = frozenset(
         s for s in rec.inputs if rec.ispred.get(s) and s in used_as_pred
     )
-    if spec is None:
-        # Regime specialisation: the recorder kept the *entry* register
-        # objects, so ``keep[s].data`` still holds each input
-        # predicate's capture-entry lanes here.
-        spec = (
-            frozenset(s for s in pall if bool(rec.keep[s].data.all()))
-            if specialize
-            else frozenset()
-        )
-    else:
-        spec = frozenset(spec) & pall
     externals = tuple(slot for slot, _reg in rec.externals)
     fixed = set(rec.inputs).union(externals)
     temps = []
@@ -881,10 +778,8 @@ def _shape(rec: Recorder, out_slots, specialize, spec, loop,
         temps.append(None if data is None else (data.shape, data.dtype))
     return _Shape(
         backend,
-        loop,
         (sys_.lat_vector_arith, sys_.lat_predicate, sys_.l1d.load_to_use,
-         sys_.lat_gather_base, sys_.lat_vector_load_extra,
-         sys_.mispredict_penalty),
+         sys_.lat_gather_base, sys_.lat_vector_load_extra),
         tuple(_op_shape(op) for op in rec.ops),
         rec._nbaked,
         tuple(rec.inputs),
@@ -893,7 +788,6 @@ def _shape(rec: Recorder, out_slots, specialize, spec, loop,
         externals,
         tuple(out_slots),
         pall,
-        spec,
         _ext_bound(rec, out_slots) > 0,
         tuple(temps),
     )
@@ -903,11 +797,9 @@ class _Emission(NamedTuple):
     """One emitted kernel source and its binding plan.
 
     ``kbinds`` lists ``(env name, op index, op field)`` for the bound
-    op fields; ``bakes`` the emitter's own bakes in emission order —
-    ``("scalar", k)`` for op ``k``'s binop/cmp constant, ``("mask", n)``
-    for an all-true rcount mask.  :meth:`bind` re-bakes them into the
-    recorder (``rec.env`` stays what a full emission would leave, which
-    the fleet compiler reads) under the names the source uses.
+    op fields; ``bakes`` the emitter's own constants as ``(env name,
+    kind, arg)`` — kind ``"scalar"`` for op ``arg``'s binop/cmp
+    constant, ``"mask"`` for an all-true rcount mask of ``arg`` lanes.
     """
 
     head: list
@@ -930,12 +822,12 @@ class _Emission(NamedTuple):
         env["_mem"] = m.mem
         env["_qz"] = m.quetzal
         ops = rec.ops
-        for kind, arg in self.bakes:
-            if kind == "scalar":
-                rec._bake(np.int64(ops[arg]["b"][1]))
-            else:
-                rec._bake(np.ones(arg, dtype=bool))
         env.update(rec.env)
+        for name, kind, arg in self.bakes:
+            if kind == "scalar":
+                env[name] = np.int64(ops[arg]["b"][1])
+            else:
+                env[name] = np.ones(arg, dtype=bool)
         for slot, reg in rec.externals:
             env[f"e{slot}"] = reg
         for name, k, field in self.kbinds:
@@ -954,15 +846,11 @@ def _emit(shape: _Shape) -> _Emission:
     """Emit the kernel source for one recording shape (see
     :func:`_compile`).  Reads nothing but ``shape``, so every value
     that shapes the source is part of the table key."""
-    lat_arith, lat_pred, l1_ltu, gather_base, load_extra, mispredict = (
-        shape.latencies
-    )
+    lat_arith, lat_pred, l1_ltu, gather_base, load_extra = shape.latencies
     ops = [dict(items) for items in shape.ops]
     inputs = shape.inputs
     out_slots = shape.out_slots
     pall = shape.pall
-    spec = shape.spec
-    loop = shape.loop
     kbinds: list = []
     bakes: list = []
     cnt = False
@@ -983,7 +871,7 @@ def _emit(shape: _Shape) -> _Emission:
 
     def bake(kind, arg) -> str:
         name = f"x{shape.nbaked + len(bakes)}"
-        bakes.append((kind, arg))
+        bakes.append((name, kind, arg))
         return name
 
     def bsrc(sv, k: int) -> str:
@@ -1186,9 +1074,7 @@ def _emit(shape: _Shape) -> _Emission:
     def mask(op, o: str, a: str) -> None:
         """Predicated merge after the functional compute of slot ``o``."""
         p = op.get("p")
-        if p is None or p in spec or lanes_dead.get(op.get("o"), False):
-            # Regime-specialised predicates are all-true by guard, so
-            # their merges are identities and drop out entirely.
+        if p is None or lanes_dead.get(op.get("o"), False):
             return
         merge = f"d{o} = _wh(d{p}, d{o}, d{a})"
         if p in pall:
@@ -1239,7 +1125,7 @@ def _emit(shape: _Shape) -> _Emission:
             deps = [a] + ([op["b"][1]] if op["b"][0] == "s" else []) + [op["p"]]
             w(f"d{o} = _c_{op['op']}(d{a}, {bsrc(op['b'], k)})")
             p = op.get("p")
-            if p is not None and p not in spec:
+            if p is not None:
                 merge = f"d{o} = d{o} & d{p}"
                 if p in pall:
                     w(f"if not g{p}: {merge}")
@@ -1310,7 +1196,7 @@ def _emit(shape: _Shape) -> _Emission:
             i, p, buf = op["i"], op["p"], op["buf"]
             n = op["n"]
             if p is None or p in pall:
-                cond = "" if p is None or p in spec else f"if g{p}:"
+                cond = "" if p is None else f"if g{p}:"
                 if cond:
                     w(cond)
                 d = 2 if cond else 1
@@ -1345,8 +1231,7 @@ def _emit(shape: _Shape) -> _Emission:
             w(f"ti = _ar(ts, ts + {n})")
             # Buffer length goes through the env (kbake), not the source:
             # the same block over different-length sequences must keep an
-            # identical source so the bytecode cache — and the fleet
-            # executor's same-source batching — can hit.
+            # identical source so the bytecode cache can hit.
             w(f"tr = d{p} & (ti >= 0) & (ti < {kbake(k, 'len')})")
             # ``ti`` ascends, so the live lanes span tl2[0]..tl2[-1].
             w("tl2 = ti[tr]")
@@ -1398,7 +1283,7 @@ def _emit(shape: _Shape) -> _Emission:
             i, p, n = op["i"], op["p"], op["n"]
             sel_, win = op["sel"], op["window"]
             if p is None or p in pall:
-                cond = "" if p is None or p in spec else f"if g{p}:"
+                cond = "" if p is None else f"if g{p}:"
                 if cond:
                     w(cond)
                 d = 2 if cond else 1
@@ -1421,7 +1306,7 @@ def _emit(shape: _Shape) -> _Emission:
                 issue([a, b, p], "tq", 2, o, "qbuffer", k)
             else:
                 if p is None or p in pall:
-                    cond = "" if p is None or p in spec else f"if g{p}:"
+                    cond = "" if p is None else f"if g{p}:"
                     if cond:
                         w(cond)
                     d = 2 if cond else 1
@@ -1458,9 +1343,6 @@ def _emit(shape: _Shape) -> _Emission:
         head.append(I + "bqz = 0")
     if shape.ext_guard:
         # The bound comes from the env (see _Emission.bind).
-        # In loop mode this check sits outside the guard loop — the
-        # externals are loop-invariant, so one entry test covers every
-        # iteration (guard-strength reduction).
         head.append(I + "if _eg > clock: return None")
     for j, slot in enumerate(inputs):
         head.append(I + f"d{slot} = a[{j}].data; r{slot} = a[{j}].ready; "
@@ -1471,89 +1353,29 @@ def _emit(shape: _Shape) -> _Emission:
         else:
             head.append(I + f"d{slot} = e{slot}.data; r{slot} = e{slot}.ready; "
                         f"c{slot} = e{slot}.category")
-    body = L
-    if not loop:
-        for slot in sorted(spec):
-            head.append(I + f"if not d{slot}.all(): return None")
-        for slot in sorted(pall - spec):
-            head.append(I + f"g{slot} = bool(d{slot}.all())")
-    else:
-        # The block's own loop: guard (ptest_spec, compiled with its
-        # exact serial accounting), regime check, per-pass predicate
-        # regimes, body, then carried-state rebinding.  ``it`` counts
-        # guard evaluations; bodies executed is ``it - 1`` because
-        # every break fires at the guard point before the body runs.
-        gslot = inputs[2]
-        head.append(I + "it = 0")
-        head.append(I + "ex = 0")
-        head.append(I + "while True:")
-        head.append(I * 2 + "clock += 1")
-        head.append(I * 2 + f"tc = clock + {lat_pred}")
-        head.append(I * 2 + "if tc > maxc: maxc = tc")
-        head.append(I * 2 + "it += 1")
-        head.append(I * 2 + f"if not d{gslot}.any():")
-        if mispredict:
-            head.append(I * 3 + f"stall['control'] += {mispredict}")
-            head.append(I * 3 + f"clock += {mispredict}")
-            head.append(I * 3 + "if clock > maxc: maxc = clock")
-        head.append(I * 3 + "break")
-        if spec:
-            regime = " and ".join(f"d{s}.all()" for s in sorted(spec))
-            head.append(I * 2 + f"if not ({regime}): ex = 1; break")
-        for slot in sorted(pall - spec):
-            head.append(I * 2 + f"g{slot} = bool(d{slot}.all())")
-        body = [I + ln for ln in L]
-        for in_s, out_s in zip(inputs, out_slots):
-            if in_s == out_s:
-                continue
-            body.append(I * 2 + f"d{in_s} = d{out_s}; r{in_s} = r{out_s}; "
-                        f"c{in_s} = {csrc(out_s)}")
+    for slot in sorted(pall):
+        head.append(I + f"g{slot} = bool(d{slot}.all())")
 
     tail: list[str] = []
-    if loop:
-        tail.append(I + "nb = it - 1")
     tail.append(I + "_mach.clock = clock")
     tail.append(I + "if maxc > _mach._max_complete: _mach._max_complete = maxc")
-    if not loop:
-        instr_src = {cat: str(n) for cat, n in instr.items() if n}
-        busy_src = {cat: str(n) for cat, n in busy.items() if n}
-        if dyn_mem:
-            base = busy.get("memory", 0)
-            busy_src["memory"] = f"{base} + bmem" if base else "bmem"
-        if dyn_qz:
-            base = busy.get("qbuffer", 0)
-            busy_src["qbuffer"] = f"{base} + bqz" if base else "bqz"
-    else:
-        # Per-pass body counters scale by ``nb``; every guard
-        # evaluation is one extra 'control' issue (occupancy 1).
-        instr_src = {cat: f"{n} * nb" for cat, n in instr.items() if n}
-        busy_src = {cat: f"{n} * nb" for cat, n in busy.items() if n}
-        if dyn_mem:
-            base = busy.get("memory", 0)
-            busy_src["memory"] = f"{base} * nb + bmem" if base else "bmem"
-        if dyn_qz:
-            base = busy.get("qbuffer", 0)
-            busy_src["qbuffer"] = f"{base} * nb + bqz" if base else "bqz"
-        cbase = instr.get("control", 0)
-        instr_src["control"] = f"{cbase} * nb + it" if cbase else "it"
-        cbase = busy.get("control", 0)
-        busy_src["control"] = f"{cbase} * nb + it" if cbase else "it"
+    instr_src = {cat: str(n) for cat, n in instr.items() if n}
+    busy_src = {cat: str(n) for cat, n in busy.items() if n}
+    if dyn_mem:
+        base = busy.get("memory", 0)
+        busy_src["memory"] = f"{base} + bmem" if base else "bmem"
+    if dyn_qz:
+        base = busy.get("qbuffer", 0)
+        busy_src["qbuffer"] = f"{base} + bqz" if base else "bqz"
     tail.append(I + "t = _mach._instructions")
     for cat in sorted(instr_src):
         tail.append(I + f"t[{cat!r}] += {instr_src[cat]}")
     tail.append(I + "t = _mach._busy")
     for cat in sorted(busy_src):
         tail.append(I + f"t[{cat!r}] += {busy_src[cat]}")
-    if not loop:
-        for cat in sorted(cstall):
-            if cstall[cat]:
-                tail.append(I + f"stall[{cat!r}] += {cstall[cat]}")
-    else:
-        folded = sorted(cat for cat in cstall if cstall[cat])
-        if folded:
-            tail.append(I + "if nb:")
-            for cat in folded:
-                tail.append(I * 2 + f"stall[{cat!r}] += {cstall[cat]} * nb")
+    for cat in sorted(cstall):
+        if cstall[cat]:
+            tail.append(I + f"stall[{cat!r}] += {cstall[cat]}")
     tail.append(I + "if stall:")
     tail.append(I + "    t = _mach._stall")
     tail.append(I + "    for tk, tv in stall.items(): t[tk] += tv")
@@ -1564,25 +1386,13 @@ def _emit(shape: _Shape) -> _Emission:
     tail.append(I + "if _mach.tracer is not None:")
     tail.append(I + f"    _mach._trace_bulk({instr_dict}, {busy_dict}, stall)")
     rets = []
-    if not loop:
-        for slot in out_slots:
-            wrap = "_pw" if shape.ispred[slot] else "_vw"
-            rets.append(
-                f"{wrap}(d{slot}, {shape.ebits[slot]}, r{slot}, {csrc(slot)})"
-            )
-        tail.append(I + "return (" + ", ".join(rets)
-                    + ("," if len(rets) == 1 else "") + ")")
-    else:
-        # Loop kernels hand back the carried state through the *input*
-        # slots (the rebinding keeps them current; with zero body
-        # passes they still hold the entry registers), plus the exit
-        # kind and the guard-evaluation count.
-        for slot in inputs:
-            wrap = "_pw" if shape.ispred[slot] else "_vw"
-            rets.append(
-                f"{wrap}(d{slot}, {shape.ebits[slot]}, r{slot}, c{slot})"
-            )
-        tail.append(I + "return (" + ", ".join(rets) + ", ex, it)")
+    for slot in out_slots:
+        wrap = "_pw" if shape.ispred[slot] else "_vw"
+        rets.append(
+            f"{wrap}(d{slot}, {shape.ebits[slot]}, r{slot}, {csrc(slot)})"
+        )
+    tail.append(I + "return (" + ", ".join(rets)
+                + ("," if len(rets) == 1 else "") + ")")
 
     # Non-escaping slots (not handed in, not handed back, not external)
     # are the backend's to manage: the optimizer may retarget their
@@ -1596,7 +1406,7 @@ def _emit(shape: _Shape) -> _Emission:
         temps[slot] = (temp[0], str(temp[1]))
         if slot in out_set:
             outs.add(slot)
-    return _Emission(head, body, tail, temps, frozenset(outs), out_slots,
+    return _Emission(head, L, tail, temps, frozenset(outs), out_slots,
                      tuple(kbinds), tuple(bakes), shape.ext_guard, cnt)
 
 
@@ -1705,40 +1515,15 @@ def _warn_replay_without_batched() -> None:
 
 
 class RecordedProgram:
-    """A compiled straight-line block: one call replays the whole trace.
+    """A compiled straight-line block: one call replays the whole trace."""
 
-    ``rec``/``out_slots`` retain the recorder (op descriptors, baked
-    environment, externals) so the fleet executor
-    (:mod:`repro.vector.fleet`) can re-emit the same block as a fused
-    cross-pair kernel; ``source`` doubles as the fleet grouping key —
-    two pairs fuse exactly when their blocks compiled to identical
-    source (which guarantees every inlined constant matches).
+    __slots__ = ("_fn", "n_ops", "source", "backend")
 
-    ``spec_slots``/``spec_positions`` describe the predicate regime a
-    specialised program assumes: the input predicates (by recorder slot
-    and by position in the replay ``regs`` tuple) that must be all-true
-    for the compiled fast path to be exact.  A generic program has an
-    empty regime.  Specialised programs self-protect — the compiled
-    head declines (returns ``None``) when the regime is violated — but
-    callers normally pre-check the regime so the violation routes to a
-    side-exit trace instead of the interpreter.
-    """
-
-    __slots__ = ("_fn", "n_ops", "source", "rec", "out_slots",
-                 "spec_slots", "spec_positions", "backend")
-
-    def __init__(self, fn, n_ops: int, source: str, rec=None, out_slots=(),
-                 spec=frozenset(), backend="numpy") -> None:
+    def __init__(self, fn, n_ops: int, source: str, backend="numpy") -> None:
         self._fn = fn
         self.n_ops = n_ops
         self.source = source
         self.backend = backend
-        self.rec = rec
-        self.out_slots = tuple(out_slots)
-        self.spec_slots = frozenset(spec)
-        self.spec_positions = tuple(
-            j for j, s in enumerate(rec.inputs) if s in self.spec_slots
-        ) if rec is not None else ()
 
     def replay(self, machine, regs=(), scalars=()):
         """Run the compiled block; ``None`` means the program declined
@@ -1751,7 +1536,7 @@ class RecordedProgram:
         return out
 
 
-def capture(machine, fn, regs=(), scalars=(), specialize=False):
+def capture(machine, fn, regs=(), scalars=()):
     """Record one block: runs ``fn(recorder, *regs, *params)`` eagerly on
     ``machine`` (the capture iteration is fully accounted) and returns
     ``(outputs, program)``.  ``program`` is None when the block used an
@@ -1765,110 +1550,31 @@ def capture(machine, fn, regs=(), scalars=(), specialize=False):
     rec = Recorder(machine, regs, scalars)
     ins = [rec.keep[s] for s in rec.inputs]
     outs = fn(rec, *ins, *rec.params)
-    prog = rec.finish(outs, specialize)
+    prog = rec.finish(outs)
     if prog is not None:
         REPLAY_METER.captures += 1
     return outs, prog
 
 
-def _default_warmup() -> int:
-    """Warmup threshold: block executions profiled (interpreted) before
-    a trace is captured, from ``REPRO_REPLAY_WARMUP`` (default 1 =
-    capture on first execution).  The same threshold gates side-exit
-    capture on a root trace's ``exit_count``."""
-    try:
-        return max(1, int(os.environ.get("REPRO_REPLAY_WARMUP", "1")))
-    except ValueError:
-        return 1
-
-
-class TraceNode:
-    """One compiled trace in a trace tree.
-
-    ``prog`` is the straight-line program for the node's regime (the
-    root may be regime-specialised; children are generic), ``depth``
-    its distance from the root, ``exit_count`` the profile counter for
-    regime-guard failures (gates side-exit capture behind the warmup
-    threshold), ``child`` the side-exit trace (``None`` = not captured
-    yet, ``False`` = capture failed, don't retry), and ``loop_fn`` the
-    lazily compiled loop-in-kernel form (``None`` = not compiled yet,
-    ``False`` = this block cannot be loop-compiled).
-    """
-
-    __slots__ = ("prog", "depth", "exit_count", "child", "loop_fn")
-
-    def __init__(self, prog: RecordedProgram, depth: int) -> None:
-        self.prog = prog
-        self.depth = depth
-        self.exit_count = 0
-        self.child = None
-        self.loop_fn = None
-
-
-def _compile_loop(prog: RecordedProgram):
-    """Re-emit a recorded block as a guard-looping kernel, or ``False``
-    when the block does not fit the carried-state contract (three
-    registers in, the same three positions out, guard predicate third).
-    """
-    rec = prog.rec
-    if rec is None or rec.params:
-        return False
-    inputs, outs = rec.inputs, prog.out_slots
-    if len(inputs) != 3 or len(outs) != 3:
-        return False
-    gslot = inputs[2]
-    if not rec.ispred.get(gslot):
-        return False
-    ext_slots = {s for s, _ in rec.externals}
-    for in_s, out_s in zip(inputs, outs):
-        if out_s in ext_slots:
-            return False
-        if out_s in inputs and out_s != in_s:
-            # Cross-position rebinding (a swap) would need temporaries;
-            # the hot kernels all produce fresh outputs, so decline.
-            return False
-        if rec.ispred[in_s] != rec.ispred[out_s]:
-            return False
-        if rec.ebits[in_s] != rec.ebits[out_s]:
-            return False
-    return _compile(rec, list(outs), spec=prog.spec_slots, loop=True)._fn
-
-
 class ReplaySession:
-    """Tiered capture/replay wrapper for a loop-body step.
+    """Capture/replay wrapper for a loop-body step.
 
     ``body(machine, st)`` must be a straight-line block over the carried
     state ``st`` (``.v``/``.h``/``.inb`` registers — the shared
-    ``ChunkState`` shape).  Executions below the warmup threshold are
-    profiled (interpreted); the block is then captured and replayed as
-    one compiled program.  The machine's loop branch (``ptest_spec``)
-    stays outside :meth:`step` — that is the guard point where
-    data-dependent exits split the trace.
-
-    With ``VectorMachine.use_trace_trees`` on, the first capture is
-    *regime-specialised*: input predicates that entered all-true compile
-    to merge-free fast paths behind a regime guard.  When that guard
-    later fails (a WFA mismatch tail, a SneakySnake early exit), the
-    failure is a **side exit**: the divergent path is captured on its
-    next hot execution as a generic child trace, so the tail keeps
-    executing fused kernels instead of dropping to the interpreter.
-    :meth:`run_loop` additionally compiles the surrounding guard loop
-    into the kernel itself (one Python call per regime segment).
+    ``ChunkState`` shape).  The first execution is captured; every
+    later one replays the compiled program.  The machine's loop branch
+    (``ptest_spec``) stays outside :meth:`step`: data-dependent exits
+    are decided interpretively between blocks.
     """
 
-    __slots__ = ("machine", "body", "name", "warmup", "_prog", "_broken",
-                 "_root", "_execs")
+    __slots__ = ("machine", "body", "name", "_prog", "_broken")
 
-    def __init__(self, machine, body, name: str = "block",
-                 warmup: "int | None" = None) -> None:
+    def __init__(self, machine, body, name: str = "block") -> None:
         self.machine = machine
         self.body = body
         self.name = name
-        self.warmup = _default_warmup() if warmup is None else max(1, int(warmup))
         self._prog = None
         self._broken = False
-        self._root = None
-        self._execs = 0
 
     @staticmethod
     def enabled(machine) -> bool:
@@ -1883,99 +1589,23 @@ class ReplaySession:
             return False
         return machine.use_replay and machine.use_batched_memory
 
-    # -- trace-tree plumbing -------------------------------------------
-    @staticmethod
-    def _regime_ok(prog: RecordedProgram, st) -> bool:
-        regs = (st.v, st.h, st.inb)
-        for j in prog.spec_positions:
-            if not bool(regs[j].data.all()):
-                return False
-        return True
-
     def _interpret(self, st, n_ops: int = 0) -> None:
         self.body(self.machine, st)
         REPLAY_METER.interpreted_blocks += 1
         if n_ops:
             REPLAY_METER.interpreted_instructions += n_ops
 
-    def _capture_fn(self, st):
+    def _capture(self, st) -> None:
         def fn(rm, v, h, inb):
             st.v, st.h, st.inb = v, h, inb
             self.body(rm, st)
             return (st.v, st.h, st.inb)
 
-        return fn
-
-    def _capture_root(self, st) -> None:
-        m = self.machine
-        trees = m.use_trace_trees
-        _outs, prog = capture(
-            m, self._capture_fn(st), (st.v, st.h, st.inb), specialize=trees
-        )
+        _outs, prog = capture(self.machine, fn, (st.v, st.h, st.inb))
         if prog is None:
             self._broken = True
-            return
-        self._prog = prog
-        if trees:
-            self._root = TraceNode(prog, 0)
-            REPLAY_METER.tree_nodes[0] = REPLAY_METER.tree_nodes.get(0, 0) + 1
-
-    def _capture_child(self, st, root: TraceNode) -> None:
-        _outs, prog = capture(
-            self.machine, self._capture_fn(st), (st.v, st.h, st.inb)
-        )
-        if prog is None:
-            root.child = False
-            return
-        node = TraceNode(prog, root.depth + 1)
-        root.child = node
-        REPLAY_METER.side_exit_traces += 1
-        REPLAY_METER.tree_nodes[node.depth] = (
-            REPLAY_METER.tree_nodes.get(node.depth, 0) + 1
-        )
-
-    def _exec_partial(self, st, root: TraceNode) -> None:
-        """Run the one pending block execution after a side exit: the
-        compiled child trace when there is one, otherwise interpret (and
-        capture the child once the exit is past its warmup)."""
-        m = self.machine
-        child = root.child
-        if isinstance(child, TraceNode):
-            t0 = _pc()
-            outs = child.prog._fn(m, (st.v, st.h, st.inb), ())
-            REPLAY_METER.kernel_run_s += _pc() - t0
-            if outs is None:
-                self._interpret(st, child.prog.n_ops)
-                return
-            st.v, st.h, st.inb = outs
-            REPLAY_METER.replayed_blocks += 1
-            REPLAY_METER.replayed_instructions += child.prog.n_ops
-            REPLAY_METER.side_exit_replays += 1
-            return
-        if child is False:
-            self._interpret(st)
-            return
-        if root.exit_count < self.warmup:
-            REPLAY_METER.warmup_skips += 1
-            self._interpret(st)
-            return
-        self._capture_child(st, root)
-
-    def fleet_prog(self, st) -> "RecordedProgram | None":
-        """The program matching ``st``'s current regime, for the fleet
-        executor: the root when its regime holds, the side-exit child
-        once one is compiled, else ``None`` (run this row serially so
-        :meth:`step` can profile / capture the exit)."""
-        prog = self._prog
-        if prog is None or not prog.spec_positions:
-            return prog
-        if self._regime_ok(prog, st):
-            return prog
-        root = self._root
-        child = root.child if root is not None else None
-        if isinstance(child, TraceNode):
-            return child.prog
-        return None
+        else:
+            self._prog = prog
 
     # -- execution ------------------------------------------------------
     def step(self, st) -> None:
@@ -1984,24 +1614,11 @@ class ReplaySession:
             _warn_replay_without_batched()
         REPLAY_METER.total_blocks += 1
         if self._broken or not (m.use_replay and m.use_batched_memory):
-            self.body(m, st)
-            REPLAY_METER.interpreted_blocks += 1
+            self._interpret(st)
             return
         prog = self._prog
         if prog is None:
-            self._execs += 1
-            if self._execs < self.warmup:
-                REPLAY_METER.warmup_skips += 1
-                self._interpret(st)
-                return
-            self._capture_root(st)
-            return
-        root = self._root
-        if (root is not None and prog.spec_positions
-                and not self._regime_ok(prog, st)):
-            REPLAY_METER.side_exits += 1
-            root.exit_count += 1
-            self._exec_partial(st, root)
+            self._capture(st)
             return
         t0 = _pc()
         outs = prog._fn(m, (st.v, st.h, st.inb), ())
@@ -2017,78 +1634,7 @@ class ReplaySession:
 
     def run_loop(self, st) -> None:
         """Drive ``while machine.ptest_spec(st.inb): step(st)`` to
-        completion.  With trace trees on, whole regime segments run as
-        loop-in-kernel calls (guard + body + rebinding compiled
-        together, the external-register guard hoisted to entry);
-        otherwise this is exactly the interpreted guard loop."""
+        completion."""
         m = self.machine
-        if (self._broken
-                or not (m.use_replay and m.use_batched_memory)
-                or not m.use_trace_trees):
-            while m.ptest_spec(st.inb):
-                self.step(st)
-            return
-        while True:
-            root = self._root
-            if root is None:
-                # Warmup / capture (or a pre-trees legacy program in
-                # ``_prog``): interpret the guard, step the block.
-                if not m.ptest_spec(st.inb):
-                    return
-                self.step(st)
-                if self._broken:
-                    while m.ptest_spec(st.inb):
-                        self.step(st)
-                    return
-                continue
-            node = root
-            if root.prog.spec_positions and not self._regime_ok(root.prog, st):
-                child = root.child
-                if isinstance(child, TraceNode):
-                    node = child
-                else:
-                    # Side exit with no compiled child yet: interpreted
-                    # guard, one pending block via the side-exit path.
-                    if not m.ptest_spec(st.inb):
-                        return
-                    REPLAY_METER.total_blocks += 1
-                    REPLAY_METER.side_exits += 1
-                    root.exit_count += 1
-                    self._exec_partial(st, root)
-                    continue
-            fn = node.loop_fn
-            if fn is None:
-                fn = node.loop_fn = _compile_loop(node.prog)
-            if fn is False:
-                if not m.ptest_spec(st.inb):
-                    return
-                self.step(st)
-                continue
-            t0 = _pc()
-            res = fn(m, (st.v, st.h, st.inb), ())
-            REPLAY_METER.kernel_run_s += _pc() - t0
-            if res is None:
-                # Hoisted external guard declined (only possible right
-                # after capture): one interpreted iteration, then retry.
-                if not m.ptest_spec(st.inb):
-                    return
-                REPLAY_METER.total_blocks += 1
-                self._interpret(st, node.prog.n_ops)
-                continue
-            st.v, st.h, st.inb = res[0], res[1], res[2]
-            ex = res[3]
-            nb = res[4] - 1
-            REPLAY_METER.loop_calls += 1
-            REPLAY_METER.loop_iters += nb
-            REPLAY_METER.total_blocks += nb
-            REPLAY_METER.replayed_blocks += nb
-            REPLAY_METER.replayed_instructions += nb * node.prog.n_ops
-            if not ex:
-                return
-            # Regime side exit: the guard passed inside the kernel but
-            # the body did not run — execute the pending block on the
-            # side-exit path, then resume at the next guard point.
-            REPLAY_METER.total_blocks += 1
-            REPLAY_METER.side_exits += 1
-            root.exit_count += 1
-            self._exec_partial(st, root)
+        while m.ptest_spec(st.inb):
+            self.step(st)

@@ -98,8 +98,8 @@ class TestReplayWindow:
 
     def test_mem_model_share_is_of_wall_time(self):
         # The memory-model clock also runs outside kernels (interpreter
-        # indexed accesses, fleet fallback), so it can exceed the kernel
-        # run time; its share is of the experiment's wall time.
+        # indexed accesses), so it can exceed the kernel run time; its
+        # share is of the experiment's wall time.
         record = timing.ExperimentTiming(
             name="mem-share",
             seconds=0.4,

@@ -62,7 +62,7 @@ def make_batches():
 @pytest.fixture(scope="module")
 def expected():
     return batch_reference_records(
-        [r for batch in make_batches() for r in batch], fleet=1
+        [r for batch in make_batches() for r in batch]
     )
 
 
@@ -90,7 +90,7 @@ def worker_pid(engine) -> int:
 @needs_fork
 @needs_proc
 def test_clean_batches_share_one_worker_until_close(expected):
-    engine = ServeEngine(ServeEngineConfig(workers=1, fleet=2))
+    engine = ServeEngine(ServeEngineConfig(workers=1))
     pids = set()
     for batch in make_batches():
         for record in engine.execute_batch(batch):
@@ -112,7 +112,7 @@ def test_clean_batches_share_one_worker_until_close(expected):
 ))
 def test_failed_attempt_is_retried_on_a_fresh_worker(expected, action, reason):
     engine = ServeEngine(ServeEngineConfig(
-        workers=1, fleet=2, retries=1, backoff=0.0, timeout=1.0,
+        workers=1, retries=1, backoff=0.0, timeout=1.0,
         fault_plan=FaultPlan.parse(f"0:{action}@0"),
     ))
     try:
@@ -128,7 +128,7 @@ def test_failed_attempt_is_retried_on_a_fresh_worker(expected, action, reason):
 @needs_fork
 @needs_proc
 def test_worker_that_died_while_idle_is_replaced_without_a_retry(expected):
-    engine = ServeEngine(ServeEngineConfig(workers=1, fleet=2))
+    engine = ServeEngine(ServeEngineConfig(workers=1))
     try:
         batches = make_batches()
         engine.execute_batch(batches[0])
@@ -149,7 +149,7 @@ def test_worker_that_died_while_idle_is_replaced_without_a_retry(expected):
 @needs_fork
 def test_toggle_change_replaces_the_worker(expected, monkeypatch):
     """A worker never runs under class toggles older than the batch."""
-    engine = ServeEngine(ServeEngineConfig(workers=1, fleet=2))
+    engine = ServeEngine(ServeEngineConfig(workers=1))
     try:
         batches = make_batches()
         engine.execute_batch(batches[0])
@@ -166,7 +166,7 @@ def test_toggle_change_replaces_the_worker(expected, monkeypatch):
 @needs_fork
 @needs_proc
 def test_unclosed_engine_stops_its_worker_when_collected():
-    engine = ServeEngine(ServeEngineConfig(workers=1, fleet=2))
+    engine = ServeEngine(ServeEngineConfig(workers=1))
     engine.execute_batch(make_batches()[0])
     pid = worker_pid(engine)
     del engine
@@ -183,7 +183,7 @@ def test_drain_leaves_no_worker(tmp_path, expected):
     async def go():
         server = AlignmentServer(ServeConfig(
             unix_path=sock, max_batch=2, max_wait=0.002,
-            engine=ServeEngineConfig(workers=1, fleet=2),
+            engine=ServeEngineConfig(workers=1),
         ))
         await server.start()
         try:
@@ -213,7 +213,7 @@ def test_sigterm_to_the_worker_does_not_drain_the_server(tmp_path, expected):
     async def go():
         server = AlignmentServer(ServeConfig(
             unix_path=sock, max_batch=2, max_wait=0.002,
-            engine=ServeEngineConfig(workers=1, fleet=2),
+            engine=ServeEngineConfig(workers=1),
         ))
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGTERM, server.request_drain)
@@ -255,7 +255,7 @@ def test_worker_exits_when_its_parent_is_killed(tmp_path):
         import time
         from repro.serve.engine import ServeEngine, ServeEngineConfig
         from repro.serve.protocol import AlignRequest
-        engine = ServeEngine(ServeEngineConfig(workers=1, fleet=1))
+        engine = ServeEngine(ServeEngineConfig(workers=1))
         engine.execute_batch([AlignRequest(
             id="r0", tenant="t0", impl="ss-vec",
             pattern="ACGTACGTACGTACGT", text="ACGTACGTACGTACGT",
@@ -298,7 +298,7 @@ def test_cli_rejects_more_than_one_worker(capsys):
 def test_without_a_journal_results_are_not_retained(expected):
     """With no journal nothing outlives its batch: a repeated request is
     recomputed, not answered from memory."""
-    engine = ServeEngine(ServeEngineConfig(workers=0, fleet=2))
+    engine = ServeEngine(ServeEngineConfig(workers=0))
     batches = make_batches()
     for _ in range(2):
         run_batches(engine, expected)

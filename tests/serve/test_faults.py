@@ -54,7 +54,7 @@ def split_batches(requests):
 
 @pytest.fixture(scope="module")
 def expected():
-    return batch_reference_records(make_requests(), fleet=2)
+    return batch_reference_records(make_requests())
 
 
 def run_engine(config):
@@ -77,7 +77,7 @@ def test_worker_kill_is_retried_and_healed(expected):
     must answer every request byte-identically, and batch 1 must run
     clean."""
     engine, records = run_engine(ServeEngineConfig(
-        workers=1, fleet=2, retries=2, backoff=0.01,
+        workers=1, retries=2, backoff=0.01,
         fault_plan=FaultPlan.parse("0:kill@0"),
     ))
     assert_identical(records, expected)
@@ -92,7 +92,7 @@ def test_exhausted_retries_error_cleanly(expected):
     explicit errors carrying the crash classification — exactly one
     response per request — while batch 1 is untouched."""
     engine, records = run_engine(ServeEngineConfig(
-        workers=1, fleet=2, retries=1, backoff=0.01,
+        workers=1, retries=1, backoff=0.01,
         fault_plan=FaultPlan.parse("0:kill"),
     ))
     requests = make_requests()
@@ -114,7 +114,7 @@ def test_hung_worker_times_out_and_retries(expected):
     """A worker hang trips the batch timeout, is classified as such,
     and the retry heals the batch."""
     engine, records = run_engine(ServeEngineConfig(
-        workers=1, fleet=2, retries=2, backoff=0.01, timeout=1.0,
+        workers=1, retries=2, backoff=0.01, timeout=1.0,
         fault_plan=FaultPlan.parse("0:hang@0"),
     ))
     assert_identical(records, expected)
@@ -124,7 +124,7 @@ def test_hung_worker_times_out_and_retries(expected):
 @needs_fork
 def test_raised_fault_in_worker_is_classified_and_retried(expected):
     engine, records = run_engine(ServeEngineConfig(
-        workers=1, fleet=2, retries=2, backoff=0.01,
+        workers=1, retries=2, backoff=0.01,
         fault_plan=FaultPlan.parse("0:raise@0"),
     ))
     assert_identical(records, expected)
@@ -136,7 +136,7 @@ def test_inline_faults_degrade_to_retryable(expected):
     """workers=0 has no process to kill: injected kill/hang degrade to
     a retryable exception so the retry path is still exercised."""
     engine, records = run_engine(ServeEngineConfig(
-        workers=0, fleet=2, retries=2, backoff=0.0,
+        workers=0, retries=2, backoff=0.0,
         fault_plan=FaultPlan.parse("0:kill@0"),
     ))
     assert_identical(records, expected)
@@ -148,13 +148,13 @@ class TestJournal:
     def test_restart_restores_byte_identically(self, tmp_path, expected):
         journal = str(tmp_path / "journal")
         first_engine, first = run_engine(ServeEngineConfig(
-            workers=0, fleet=2, journal_dir=journal,
+            workers=0, journal_dir=journal,
         ))
         assert_identical(first, expected)
         assert first_engine.completed == 6
 
         second_engine, second = run_engine(ServeEngineConfig(
-            workers=0, fleet=2, journal_dir=journal,
+            workers=0, journal_dir=journal,
         ))
         assert_identical(second, expected)
         assert [canonical_encode(r) for r in second] == [
@@ -173,7 +173,7 @@ class TestJournal:
         response set is byte-identical to the undisturbed reference."""
         journal = str(tmp_path / "journal")
         first_engine, first = run_engine(ServeEngineConfig(
-            workers=1, fleet=2, retries=0, backoff=0.01,
+            workers=1, retries=0, backoff=0.01,
             journal_dir=journal,
             fault_plan=FaultPlan.parse("0:kill"),
         ))
@@ -181,7 +181,7 @@ class TestJournal:
         assert first_engine.completed == 3
 
         second_engine, second = run_engine(ServeEngineConfig(
-            workers=1, fleet=2, retries=0, journal_dir=journal,
+            workers=1, retries=0, journal_dir=journal,
         ))
         assert_identical(second, expected)
         assert second_engine.restored == 3
@@ -199,12 +199,12 @@ class TestJournal:
             for rid in ("a", "b")
         ]
         engine = ServeEngine(ServeEngineConfig(
-            workers=0, fleet=1, journal_dir=journal,
+            workers=0, journal_dir=journal,
         ))
         records = engine.execute_batch(twins)
         assert [r["id"] for r in records] == ["a", "b"]
         restarted = ServeEngine(ServeEngineConfig(
-            workers=0, fleet=1, journal_dir=journal,
+            workers=0, journal_dir=journal,
         ))
         again = restarted.execute_batch(twins)
         assert restarted.restored == 2

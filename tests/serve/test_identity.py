@@ -4,14 +4,16 @@ identically to the batch path.
 Each cell starts a real asyncio server on a unix socket, drives it with
 the open-loop client, and compares every response line byte-for-byte
 against :func:`repro.serve.client.batch_reference_records` (the batch-
-CLI-equivalent answer, computed at fleet width 1).  The grid crosses
+CLI-equivalent answer, one fresh machine per pair).  The grid crosses
 
-    {fleet 1/4} x {jit backend numpy/numpy-opt}
+    {max_batch 1/4} x {jit backend numpy/numpy-opt}
 
 on a standard batch and on a divergence-heavy batch (mixed lengths and
-error rates, so fleet rows retire mid-group), with the request stream
+error rates), with the request stream
 mixing two implementations and two tenants — the coalescer must keep
-the configurations apart while the identity holds per request.
+the configurations apart while the identity holds per request, and
+since every pair runs on its own fresh machine, no response may depend
+on how many requests were coalesced with it.
 
 The grid runs inline (``workers=0``).  The worker cells run the path
 ``repro serve`` takes by default: one persistent worker process
@@ -35,7 +37,7 @@ from repro.serve.protocol import AlignRequest
 from repro.serve.server import AlignmentServer, ServeConfig
 from repro.vector.machine import VectorMachine
 
-#: (fleet width, jit backend) — the service must be width- and
+#: (max_batch, jit backend) — the service must be batch-size- and
 #: backend-invariant, byte for byte.
 GRID = list(itertools.product((1, 4), ("numpy", "numpy-opt")))
 
@@ -47,8 +49,8 @@ def standard_pairs():
 
 def divergent_pairs():
     """Mixed lengths and error rates (with indels, as in the conformance
-    grid's fleet axis): pairs finish at very different iteration counts,
-    so coalesced batches retire rows mid-flight."""
+    grid's divergent batch): pairs finish at very different iteration
+    counts."""
     out = []
     for length, err, seed in ((48, 0.08, 3), (96, 0.01, 5), (160, 0.15, 7)):
         gen = ReadPairGenerator(
@@ -99,16 +101,14 @@ _references: dict = {}
 
 def reference_for(kind):
     """Batch reference lines, computed once per batch kind (responses
-    are backend- and width-invariant — the grid cells prove exactly
+    are batch-size- and backend-invariant — the grid cells prove exactly
     that by all comparing against this one reference)."""
     if kind not in _references:
-        _references[kind] = batch_reference_records(
-            make_requests(kind), fleet=1
-        )
+        _references[kind] = batch_reference_records(make_requests(kind))
     return _references[kind]
 
 
-def run_server(requests, fleet, sock, rate=500.0, **config_overrides):
+def run_server(requests, sock, rate=500.0, **config_overrides):
     """One fresh server on a unix socket, one open-loop client run."""
 
     async def go():
@@ -116,7 +116,7 @@ def run_server(requests, fleet, sock, rate=500.0, **config_overrides):
             unix_path=sock,
             max_batch=4,
             max_wait=0.002,
-            engine=ServeEngineConfig(workers=0, fleet=fleet),
+            engine=ServeEngineConfig(workers=0),
         )
         settings.update(config_overrides)
         server = AlignmentServer(ServeConfig(**settings))
@@ -133,18 +133,18 @@ def run_server(requests, fleet, sock, rate=500.0, **config_overrides):
 
 
 def cell_id(cell):
-    return f"fleet{cell[0]}-{cell[1]}"
+    return f"max_batch{cell[0]}-{cell[1]}"
 
 
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
 @pytest.mark.parametrize("cell", GRID, ids=cell_id)
 def test_server_matches_batch_byte_for_byte(tmp_path, monkeypatch, kind, cell):
-    fleet, backend = cell
+    max_batch, backend = cell
     monkeypatch.setattr(VectorMachine, "jit_backend", backend)
     requests = make_requests(kind)
     expected = reference_for(kind)
     report, counters = run_server(
-        requests, fleet, str(tmp_path / "serve.sock")
+        requests, str(tmp_path / "serve.sock"), max_batch=max_batch
     )
     assert report.dropped == 0
     assert report.errors == 0
@@ -163,7 +163,7 @@ def test_responses_stream_in_arrival_order(tmp_path):
     """One connection: response order == send order, across batch keys
     and coalesced batches — so every tenant's stream is FIFO."""
     requests = make_requests("standard")
-    report, _ = run_server(requests, 4, str(tmp_path / "serve.sock"))
+    report, _ = run_server(requests, str(tmp_path / "serve.sock"))
     assert [r["id"] for r in report.responses] == [r.id for r in requests]
     for tenant in ("t0", "t1"):
         got = [r["id"] for r in report.responses if r["tenant"] == tenant]
@@ -177,8 +177,7 @@ def test_identity_survives_tiny_batches_and_zero_wait(tmp_path):
     requests = make_requests("standard")
     expected = reference_for("standard")
     report, _ = run_server(
-        requests, 1, str(tmp_path / "serve.sock"),
-        max_batch=1, max_wait=0.0,
+        requests, str(tmp_path / "serve.sock"), max_batch=1, max_wait=0.0,
     )
     assert report.dropped == 0 and report.errors == 0
     assert {rid: report.lines[rid] for rid in expected} == expected
@@ -192,8 +191,8 @@ def test_one_worker_serves_every_batch_byte_for_byte(tmp_path, max_batch):
     requests = make_requests("mixed")
     expected = reference_for("mixed")
     report, counters = run_server(
-        requests, 4, str(tmp_path / "serve.sock"), max_batch=max_batch,
-        engine=ServeEngineConfig(workers=1, fleet=4),
+        requests, str(tmp_path / "serve.sock"), max_batch=max_batch,
+        engine=ServeEngineConfig(workers=1),
     )
     assert report.dropped == 0 and report.errors == 0
     assert {rid: report.lines.get(rid) for rid in expected} == expected

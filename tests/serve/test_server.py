@@ -22,7 +22,7 @@ def make_request(i, tenant="t0"):
 async def start_server(sock, **overrides):
     settings = dict(
         unix_path=sock, max_batch=4, max_wait=0.002,
-        engine=ServeEngineConfig(workers=0, fleet=2),
+        engine=ServeEngineConfig(workers=0),
     )
     settings.update(overrides)
     server = AlignmentServer(ServeConfig(**settings))
@@ -134,7 +134,7 @@ def test_drain_flushes_coalesced_requests(tmp_path):
     admitted — byte-identically."""
     sock = str(tmp_path / "serve.sock")
     requests = [make_request(i) for i in range(4)]
-    expected = batch_reference_records(requests, fleet=1)
+    expected = batch_reference_records(requests)
 
     async def go():
         server = await start_server(sock, max_batch=100, max_wait=30.0)

@@ -336,7 +336,6 @@ class TestServeCommand:
         assert args.rate == 0.0
         assert args.max_pending == 256
         assert args.workers == 1
-        assert args.fleet == 4
         assert args.retries == 2
         assert args.journal is None
         assert args.fault_plan is None
@@ -351,7 +350,7 @@ class TestServeCommand:
         out = capsys.readouterr().out
         for flag in (
             "--unix", "--port", "--stdio", "--max-batch", "--max-wait",
-            "--rate", "--burst", "--max-pending", "--workers", "--fleet",
+            "--rate", "--burst", "--max-pending", "--workers",
             "--journal", "--fault-plan", "--smoke", "--jit-backend",
         ):
             assert flag in out
@@ -367,14 +366,14 @@ class TestServeCommand:
         args = build_serve_parser().parse_args([
             "--unix", "/tmp/s.sock", "--max-batch", "8",
             "--max-wait", "0.5", "--rate", "10", "--max-pending", "4",
-            "--workers", "0", "--fleet", "2", "--retries", "1",
+            "--workers", "0", "--retries", "1",
             "--fault-plan", "0:kill@0",
         ])
         config = _config_from_args(args)
         assert config.unix_path == "/tmp/s.sock"
         assert config.max_batch == 8 and config.max_wait == 0.5
         assert config.rate == 10.0 and config.max_pending == 4
-        assert config.engine.workers == 0 and config.engine.fleet == 2
+        assert config.engine.workers == 0
         assert config.engine.retries == 1
         assert config.engine.fault_plan.to_spec() == "0:kill@0"
 

@@ -148,7 +148,7 @@ class TestBackendIdentity:
         assert_backend_identical(_gather_body, backend, iters=6)
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_loop_in_kernel(self, backend):
+    def test_carried_predicate_loop(self, backend):
         assert_backend_identical(_loop_body, backend, iters=4, loop=True)
 
     def test_unknown_backend_warns_and_uses_default(self):
@@ -232,8 +232,6 @@ def _instance(scalar, modulus, sid, length, warm):
 
     def make():
         m = VectorMachine(SystemConfig())
-        # Trace trees off: each run captures exactly one (generic) block.
-        m.use_trace_trees = False
         gbuf = m.new_buffer(
             "g", np.arange(4096, dtype=np.int64) % modulus, elem_bytes=1
         )
@@ -311,9 +309,7 @@ class TestEmissionTable:
             return v2, h2, mm.cmp("lt", v2, 1 << 40, pred=inb)
 
         before = CODEGEN_METER.emissions
-        _outs, prog = program.capture(
-            m, body, (st_.v, st_.h, st_.inb), specialize=True
-        )
+        _outs, prog = program.capture(m, body, (st_.v, st_.h, st_.inb))
         assert prog is not None
         return CODEGEN_METER.emissions - before, prog
 
@@ -327,21 +323,15 @@ class TestEmissionTable:
         assert again.source == base.source
         assert base._fn.__globals__["_eg"] == 5
         assert again._fn.__globals__["_eg"] == 9
-        # Regime: the entry predicate is no longer all-true.
-        emitted, generic = self._capture(partial=True)
-        assert emitted == 1 and generic.spec_slots != base.spec_slots
+        # The entry predicate's lanes are a value, not part of the shape.
+        emitted, partial = self._capture(partial=True)
+        assert emitted == 0 and partial.source == base.source
         # No external in flight: the entry guard line drops out.
         emitted, unguarded = self._capture(ready=0)
         assert emitted == 1 and "_eg" not in unguarded.source
         assert self._capture(backend="numpy")[0] == 1
         slower = replace(SystemConfig(), lat_vector_arith=7)
         assert self._capture(system=slower)[0] == 1
-        # Loop mode: the same recording re-emitted as a loop kernel.
-        before = CODEGEN_METER.emissions
-        assert program._compile_loop(base) is not False
-        assert CODEGEN_METER.emissions == before + 1
-        assert program._compile_loop(again) is not False
-        assert CODEGEN_METER.emissions == before + 1
         # Every variant above is now a table hit.
         for kwargs in ({}, {"partial": True}, {"ready": 0},
                        {"backend": "numpy"}, {"system": slower}):

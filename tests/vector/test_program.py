@@ -7,12 +7,15 @@ attribution, memory counters), the clock, ``_max_complete``, and the
 functional register values.
 """
 
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.errors import MachineError
 from repro.vector.machine import VectorMachine, _clz_values, _ctz_values, _rbit_values
 from repro.vector.program import REPLAY_METER, ReplaySession, capture
 
@@ -367,6 +370,291 @@ class TestGuardsAndDecline:
             return m.clock, m.snapshot(), tuple(s.v.data)
 
         assert run(False) == run(True)
+
+
+class S:
+    __slots__ = ("v", "h", "inb")
+
+
+# ----------------------------------------------------------------------
+# Store range guard
+# ----------------------------------------------------------------------
+class TestStoreRangeGuard:
+    """A masked store whose active lanes reach past the buffer end raises
+    ``MachineError`` in the interpreter and in a replayed kernel alike.
+    The store sits half a vector before the end with two lanes on; one
+    more lane turns on per iteration, so the fourth iteration (a
+    replayed one) stores past the end and must raise."""
+
+    @staticmethod
+    def _run():
+        m = VectorMachine(SystemConfig())
+        lanes = m.lanes(64)
+        buf = m.new_buffer("g", np.zeros(64, dtype=np.int64), elem_bytes=8)
+        start = len(buf.data) - lanes // 2
+
+        def body(mm, st):
+            mm.store(buf, start, st.v, pred=st.inb)
+            st.h = mm.add(st.h, 1)
+            st.inb = mm.cmp("lt", mm.iota(64), st.h)
+
+        st = S()
+        st.v = m.from_values(np.arange(lanes), 64)
+        st.h = m.dup(lanes // 2 - 2, ebits=64)
+        st.inb = m.cmp("lt", m.iota(64), st.h)
+        session = ReplaySession(m, body)
+        for _ in range(8):
+            session.step(st)
+
+    @staticmethod
+    def _raised_in(excinfo) -> "set[str]":
+        return {
+            frame.f_code.co_filename
+            for frame, _ in traceback.walk_tb(excinfo.tb)
+        }
+
+    def test_interpreter_raises(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", False)
+            with pytest.raises(MachineError, match="store out of range"):
+                self._run()
+
+    def test_replayed_kernel_raises(self):
+        with pytest.raises(MachineError, match="store out of range") as exc:
+            self._run()
+        assert "<recorded-program>" in self._raised_in(exc)
+
+
+# ----------------------------------------------------------------------
+# Meter conservation
+# ----------------------------------------------------------------------
+class TestMeterConservation:
+    """Every block execution through ``run_loop`` lands in exactly one
+    outcome bucket, with replay on or off, on a loop whose lanes retire
+    at strongly staggered iteration counts."""
+
+    @pytest.mark.parametrize("replay", (False, True))
+    def test_conservation_over_modes(self, replay):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", replay)
+            m, buf = fresh_machine()
+            lanes = m.lanes(64)
+            bounds = m.from_values(10 + 9 * np.arange(lanes), 64)
+
+            def body(mm, s):
+                idx = mm.and_(s.v, 1023, pred=s.inb)
+                g = mm.gather64(buf, idx, pred=s.inb)
+                s.h = mm.add(s.h, mm.min(g, 7, pred=s.inb), pred=s.inb)
+                s.v = mm.add(s.v, 1, pred=s.inb)
+                s.inb = mm.cmp("lt", s.v, bounds, pred=s.inb)
+
+            session = ReplaySession(m, body)
+            before = REPLAY_METER.snapshot()
+            for rep in range(3):
+                s = S()
+                s.v = m.from_values(np.arange(lanes) + rep, 64)
+                s.h = m.from_values(np.arange(lanes) * 3, 64)
+                s.inb = m.ptrue(64)
+                session.run_loop(s)
+            d = REPLAY_METER.delta(before)
+            assert d["total_blocks"] > 0
+            assert (
+                d["captures"] + d["replayed_blocks"]
+                + d["interpreted_blocks"] + d["broken"]
+                == d["total_blocks"]
+            ), f"conservation violated: {d}"
+            assert (d["replayed_blocks"] > 0) == replay
+
+
+# ----------------------------------------------------------------------
+# Carried-predicate loops through ReplaySession.run_loop
+# ----------------------------------------------------------------------
+def staggered_body(m, buf):
+    """Lanes retire at strongly staggered iteration counts, so every rep
+    has an all-active prefix and a long partially active tail."""
+    lanes = m.lanes(64)
+    bounds = m.from_values(10 + 9 * np.arange(lanes), 64)
+
+    def body(mm, s):
+        idx = mm.and_(s.v, 1023, pred=s.inb)
+        g = mm.gather64(buf, idx, pred=s.inb)
+        s.h = mm.add(s.h, mm.min(g, 7, pred=s.inb), pred=s.inb)
+        s.v = mm.add(s.v, 1, pred=s.inb)
+        s.inb = mm.cmp("lt", s.v, bounds, pred=s.inb)
+
+    def init(rep):
+        s = S()
+        s.v = m.from_values(np.arange(lanes) + rep, 64)
+        s.h = m.from_values(np.arange(lanes) * 3, 64)
+        s.inb = m.ptrue(64)
+        return s
+
+    return body, init
+
+
+def run_loop_both(make_body, reps=3, trace=False):
+    """Drive ``session.run_loop`` interpreted and with replay on; return
+    both (clock, maxc, snapshot, values, tracer-totals) tuples."""
+    results = []
+    for replay in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", replay)
+            m, buf = fresh_machine()
+            tracer = m.attach_tracer(capacity=64) if trace else None
+            body, init = make_body(m, buf)
+            session = ReplaySession(m, body)
+            before = REPLAY_METER.snapshot()
+            finals = []
+            for rep in range(reps):
+                s = init(rep)
+                session.run_loop(s)
+                finals.append(tuple(
+                    tuple(np.asarray(r.data).tolist())
+                    for r in (s.v, s.h, s.inb)
+                ))
+            m.barrier()
+            d = REPLAY_METER.delta(before)
+            assert (d["replayed_blocks"] > 0) == replay, d
+            totals = (
+                (
+                    dict(tracer.instructions_by_category),
+                    dict(tracer.busy_by_category),
+                    dict(tracer.stall_by_category),
+                )
+                if tracer is not None
+                else None
+            )
+            results.append(
+                (m.clock, m._max_complete, m.snapshot(), finals, totals)
+            )
+    return results
+
+
+def assert_loop_identical(interp, replay):
+    assert_identical(interp[:4], replay[:4])
+    assert interp[4] == replay[4], "tracer totals diverged"
+
+
+def _random_guarded_body(seed):
+    rng = np.random.default_rng(seed)
+    n_ops = int(rng.integers(2, 7))
+    plan = [
+        (
+            str(rng.choice(["binop", "scalar", "shift", "sel", "gather"])),
+            int(rng.integers(0, len(BINOPS))),
+            int(rng.integers(0, 8)),
+        )
+        for _ in range(n_ops)
+    ]
+    stride = int(rng.integers(3, 17))
+    base = int(rng.integers(5, 20))
+
+    def make(m, buf):
+        lanes = m.lanes(64)
+        bounds = m.from_values(base + stride * np.arange(lanes), 64)
+
+        def body(mm, s):
+            x = s.h
+            for kind, a, b in plan:
+                op = BINOPS[a % len(BINOPS)]
+                if kind == "binop":
+                    x = mm.binop(op, x, s.v, pred=s.inb)
+                elif kind == "scalar":
+                    x = mm.binop(op, x, 3 + b, pred=s.inb)
+                elif kind == "shift":
+                    x = mm.shr(mm.shl(x, b % 4, pred=s.inb), 1, pred=s.inb)
+                elif kind == "sel":
+                    x = mm.sel(s.inb, x, s.v)
+                else:
+                    idx = mm.and_(x, 1023, pred=s.inb)
+                    x = mm.gather64(buf, idx, pred=s.inb)
+            s.h = x
+            s.v = mm.add(s.v, 1, pred=s.inb)
+            s.inb = mm.cmp("lt", s.v, bounds, pred=s.inb)
+
+        def init(rep):
+            s = S()
+            s.v = m.from_values(np.arange(lanes) % 5 + rep, 64)
+            s.h = m.from_values(np.arange(lanes) * 7 + 1, 64)
+            s.inb = m.ptrue(64)
+            return s
+
+        return body, init
+
+    return make
+
+
+class TestRunLoopIdentity:
+    """A loop whose carried predicate goes partial replays the captured
+    block on every later iteration; machine state, register values and
+    tracer totals must equal the interpreted loop's."""
+
+    def test_staggered_retirement_bit_identical(self):
+        assert_loop_identical(*run_loop_both(staggered_body, reps=4))
+
+    def test_tracer_totals_bit_identical(self):
+        assert_loop_identical(
+            *run_loop_both(staggered_body, reps=3, trace=True)
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_random_divergent_loop_bit_identical(self, seed):
+        assert_loop_identical(
+            *run_loop_both(_random_guarded_body(seed), reps=3)
+        )
+
+    def test_forced_mismatch_tail_bit_identical(self):
+        # A mismatch comb: lanes started at staggered offsets hit
+        # mismatches on different iterations, so the WFA extend loop's
+        # active predicate goes partial while the block replays.
+        from repro.align.vectorized.extend_loop import ExtendConsts, vec_extend
+
+        results = []
+        for replay in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(VectorMachine, "use_replay", replay)
+                m = VectorMachine(SystemConfig())
+                length = 2048
+                rng = np.random.default_rng(3)
+                pattern = rng.integers(0, 4, length).astype(np.int64)
+                text = pattern.copy()
+                text[::13] = (text[::13] + 1) % 4
+                pbuf = m.new_buffer("p", pattern, elem_bytes=1)
+                tbuf = m.new_buffer("t", text, elem_bytes=1)
+                consts = ExtendConsts(m, length, length, 8)
+                lanes = m.lanes(64)
+                outs = []
+                for rep in range(4):
+                    starts = rep * 31 + 3 * np.arange(lanes)
+                    v = m.from_values(starts, 64)
+                    h = m.from_values(starts, 64)
+                    r = vec_extend(
+                        m, pbuf, tbuf, v, h, m.ptrue(64),
+                        length, length, consts=consts,
+                    )
+                    outs.append(tuple(
+                        tuple(np.asarray(x.data).tolist()) for x in r
+                    ))
+                m.barrier()
+                results.append((m.clock, m._max_complete, m.snapshot(), outs))
+        interp, replayed = results
+        assert interp == replayed, "extend diverged with replay on"
+
+
+class TestCaptureOnFirstExecution:
+    def test_first_step_captures_and_second_replays(self):
+        m, buf = fresh_machine()
+        body, init = staggered_body(m, buf)
+        session = ReplaySession(m, body)
+        s = init(0)
+        before = REPLAY_METER.snapshot()
+        session.step(s)
+        d = REPLAY_METER.delta(before)
+        assert d["captures"] == 1 and d["interpreted_blocks"] == 0, d
+        session.step(s)
+        d = REPLAY_METER.delta(before)
+        assert d["captures"] == 1 and d["replayed_blocks"] == 1, d
 
 
 # ----------------------------------------------------------------------
