@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.interface import Implementation, PairResult
+from repro.align.interface import Implementation
 from repro.cache import CALIBRATION
 from repro.align.smith_waterman import banded_global_affine, nw_gotoh_global
 from repro.align.types import Penalties

@@ -14,7 +14,7 @@ this simplification.
 
 from __future__ import annotations
 
-from repro.align.interface import Implementation, PairResult
+from repro.align.interface import Implementation
 from repro.align.vectorized.extend_loop import VecExtendKernel
 from repro.align.vectorized.wfa_vec import FAST_LENGTH_THRESHOLD
 from repro.align.vectorized.wavefront_machine import (

@@ -8,7 +8,7 @@ a serialising horizontal-max picks the snake's next segment.
 
 from __future__ import annotations
 
-from repro.align.interface import Implementation, PairResult
+from repro.align.interface import Implementation
 from repro.align.sneakysnake import SneakySnakeResult
 from repro.align.vectorized.extend_loop import (
     ExtendKernel,

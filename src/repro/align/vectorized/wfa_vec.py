@@ -9,7 +9,7 @@ ones.
 
 from __future__ import annotations
 
-from repro.align.interface import Implementation, PairResult
+from repro.align.interface import Implementation
 from repro.align.vectorized.extend_loop import VecExtendKernel
 from repro.align.vectorized.wavefront_machine import (
     MachineWavefront,

@@ -41,7 +41,6 @@ from repro.eval import records, supervise, timing
 from repro.eval.compare import Tolerances, compare_records, render_drifts
 from repro.eval.parallel import default_jobs
 from repro.eval.reporting import render_table
-from repro.vector.backends import BACKEND_NAMES
 from repro.vector.machine import VectorMachine
 
 
@@ -55,43 +54,6 @@ def _disable_replay() -> None:
     os.environ["REPRO_NO_REPLAY"] = "1"
     VectorMachine.use_replay = False
 
-
-def _disable_memvec() -> None:
-    """Turn the vectorized memory-model engine off for this process.
-
-    The hierarchy falls back to the serial per-request walk for every
-    batch (no phase splitting, no pattern replay).
-    Same env-var + class-attribute pattern as :func:`_disable_replay`;
-    results are bit-identical either way.
-    """
-    from repro.memory.hierarchy import MemoryHierarchy
-
-    os.environ["REPRO_NO_MEMVEC"] = "1"
-    MemoryHierarchy.use_vectorized_memory = False
-
-
-def _set_jit_backend(name: "str | None") -> None:
-    """Pin the replay-JIT codegen backend for this process and workers.
-
-    Same env-var + class-attribute pattern as :func:`_disable_replay`;
-    the default (``numpy-opt``) applies when the flag is absent.
-    """
-    if name is None:
-        return
-    os.environ["REPRO_JIT_BACKEND"] = name
-    VectorMachine.jit_backend = name
-
-
-def add_jit_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jit-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="codegen backend for replay kernels (default: "
-        "$REPRO_JIT_BACKEND, else numpy-opt; 'numba' falls back to "
-        "numpy-opt with a warning when numba is not installed; results "
-        "are bit-identical across backends)",
-    )
 
 #: Experiment id -> (callable, title, kwargs-name for scaling or None).
 EXPERIMENTS = {
@@ -165,15 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="interpret every vector op instead of replaying recorded "
         "programs (results are bit-identical either way)",
     )
-    parser.add_argument(
-        "--no-memvec",
-        action="store_true",
-        help="disable the vectorized memory-model engine (phase-split "
-        "batch retirement and pattern-replay memoization in the cache "
-        "hierarchy); every batch takes the serial per-request walk, and "
-        "results are bit-identical either way",
-    )
-    add_jit_backend_argument(parser)
     add_supervise_arguments(parser)
     return parser
 
@@ -301,8 +254,10 @@ def build_compare_parser() -> argparse.ArgumentParser:
 def build_bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Benchmark the batched memory fast path against the "
-        "legacy serial walk (bit-identical statistics enforced).",
+        description="Benchmark the execution fast paths against their "
+        "slow legs: batched memory against the per-lane serial walk, "
+        "replay against the interpreter (bit-identical statistics "
+        "enforced).",
     )
     parser.add_argument(
         "--quick",
@@ -322,15 +277,14 @@ def build_bench_parser() -> argparse.ArgumentParser:
         default=None,
         help="run a subset (repeatable); choose from "
         "stride_sweep, random_gather, wfa_extend, fig4_cell, "
-        "replay_extend, replay_ss, memvec_gather, serve (service-level load points; "
+        "replay_extend, replay_ss, serve (service-level load points; "
         "not in the default set — see results/BENCH_serve.json)",
     )
     parser.add_argument(
         "--check",
         action="store_true",
         help="exit 1 if statistics diverge or a gated workload "
-        "(stride_sweep and the replay, backend and memvec workloads) "
-        "regressed",
+        "(stride_sweep and the replay workloads) regressed",
     )
     parser.add_argument(
         "--baseline",
@@ -362,22 +316,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         help="disable the replay engine for the default execution paths "
         "(the replay_* workloads still toggle it per leg)",
     )
-    parser.add_argument(
-        "--no-memvec",
-        action="store_true",
-        help="disable the vectorized memory-model engine for the default "
-        "execution paths (the memvec workloads still toggle it per leg)",
-    )
-    parser.add_argument(
-        "--dimension",
-        metavar="DIM",
-        choices=sorted(bench._LEGS),
-        default=None,
-        help="override the toggled dimension for every selected workload "
-        "(e.g. --dimension backend reruns replay workloads as "
-        "generated-numpy vs the process-default backend)",
-    )
-    add_jit_backend_argument(parser)
     return parser
 
 
@@ -386,16 +324,10 @@ def bench_main(argv: "list[str]") -> int:
     args = build_bench_parser().parse_args(argv)
     if args.no_replay:
         _disable_replay()
-    if args.no_memvec:
-        _disable_memvec()
-    _set_jit_backend(args.jit_backend)
     if args.profile is not None:
         print(bench.profile_bench(top=args.profile, quick=args.quick, only=args.only))
         return 0
-    report = bench.run_bench(
-        quick=args.quick, out=args.out, only=args.only,
-        dimension=args.dimension,
-    )
+    report = bench.run_bench(quick=args.quick, out=args.out, only=args.only)
     print(bench.render_report(report))
     failures = []
     if args.check:
@@ -519,13 +451,6 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--no-replay", action="store_true")
     parser.add_argument(
-        "--no-memvec",
-        action="store_true",
-        help="disable the vectorized memory-model engine (serial "
-        "per-request cache walk; bit-identical results)",
-    )
-    add_jit_backend_argument(parser)
-    parser.add_argument(
         "--fault-plan", metavar="SPEC", default=None,
         help="inject faults into the resumed run too (testing only)",
     )
@@ -542,9 +467,6 @@ def run_main(argv: "list[str]") -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_memvec:
-        _disable_memvec()
-    _set_jit_backend(args.jit_backend)
     meta = supervise.read_meta(args.resume)
     experiment = meta.get("experiment")
     if experiment != "all" and experiment not in EXPERIMENTS:
@@ -691,9 +613,6 @@ def main(argv: "list[str] | None" = None) -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_memvec:
-        _disable_memvec()
-    _set_jit_backend(args.jit_backend)
     if supervise_cfg is not None:
         return _run_supervised(
             supervise_cfg,

@@ -32,45 +32,25 @@ Workloads:
 ``replay_ss``
     End-to-end Fig. 4 SS cell with replay off vs on — the same
     bit-identity contract, measured through ``run_implementation``.
-``memvec_gather``
-    Repeating strided gathers cycling through a small rotation of base
-    offsets — the pattern-memoization sweet spot of the vectorized
-    memory-model engine (:mod:`repro.memory.memvec`): after one warmup
-    lap every batch replays a compiled pattern instead of walking the
-    hierarchy request by request.  Toggles the ``memvec`` dimension
-    (``MemoryHierarchy.use_vectorized_memory`` off vs on) with batched
-    memory and replay pinned on both legs.
 
 The membatch workloads compare ``use_batched_memory`` off vs on (replay
 pinned off on both legs so it cannot blur the comparison); the replay
 workloads compare ``use_replay`` off vs on with batched memory pinned
-on; the ``backend`` dimension (opt in
-via ``--dimension backend``) compares the plain generated-numpy codegen
-backend against the process default (``numpy-opt``, or whatever
-``--jit-backend`` pinned) with everything else held at the replay fast
-path.  In every cell ``serial_s`` is the slow leg and ``batched_s`` the
+on.  In every cell ``serial_s`` is the slow leg and ``batched_s`` the
 fast leg, whatever the toggled dimension.
 
 Every cell also reports the memory-model split (``mem_model_serial_s``
 / ``mem_model_batched_s`` and their share of the corresponding
 ``kernel_run_s``): the seconds each leg spent simulating the cache
-hierarchy from inside compiled kernels, the quantity the vectorized
-memory engine exists to shrink.  ``speedup_mem_model`` is their ratio
-whenever the fast leg's share is measurable.
+hierarchy.  ``speedup_mem_model`` is their ratio whenever the fast
+leg's share is measurable.
 
 Each cell also splits wall-clock into compile and steady-state time:
 ``steady_serial_s``/``steady_batched_s`` subtract the codegen meter's
 kernel-compile seconds from each timed round, and ``speedup_steady``
 compares only those — the number :func:`check_regression` gates on,
 since compile cost is a one-time warmup charge the kernel cache
-amortises away across processes.  Cells where both legs run compiled
-kernels additionally carry the kernel-net split
-(``kernel_serial_s``/``kernel_batched_s``/``speedup_kernel``): in-kernel
-wall time minus the memory-model seconds spent simulating the cache
-hierarchy from inside those kernels.  For the ``backend`` dimension the
-gates read ``speedup_kernel`` — the hierarchy simulation is shared by
-every backend, so only the generated-kernel time carries the codegen
-signal.
+amortises away across processes.
 """
 
 from __future__ import annotations
@@ -90,7 +70,6 @@ from repro.config import SystemConfig
 from repro.errors import ReproError
 from repro.eval.runner import make_machine, run_implementation
 from repro.genomics.datasets import build_dataset
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.vector.backends import CODEGEN_METER
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER
@@ -112,81 +91,40 @@ _SCALES = {
     "fig4_cell": (24, 4),
     "replay_extend": (40, 8),
     "replay_ss": (24, 4),
-    "memvec_gather": (600, 90),
 }
 
 #: Workload name -> toggled dimension ("membatch" unless listed).
 _DIMENSIONS = {
     "replay_extend": "replay",
     "replay_ss": "replay",
-    "memvec_gather": "memvec",
 }
 
-#: dimension -> ((slow label, batched, replay, backend, memvec),
-#: (fast ...)).  ``backend=None`` leaves ``jit_backend`` at the process
-#: default (``numpy-opt`` unless ``--jit-backend`` pinned something
-#: else), so the ``backend`` dimension's fast leg measures whatever
-#: backend the process runs with; ``memvec=None`` likewise leaves the
-#: memory-model engine at its process default.
+#: dimension -> ((slow label, batched, replay), (fast ...)).
 _LEGS = {
-    "membatch": (
-        ("serial", False, False, None, None),
-        ("batched", True, False, None, None),
-    ),
-    "replay": (
-        ("serial", True, False, None, None),
-        ("batched", True, True, None, None),
-    ),
-    "backend": (
-        ("serial", True, True, "numpy", None),
-        ("batched", True, True, None, None),
-    ),
-    # Both memvec legs keep the whole fast stack (batched memory,
-    # replay) so the only difference is the memory hierarchy's own
-    # engine — serial per-request walk vs phase-split retirement +
-    # pattern replay.
-    "memvec": (
-        ("serial", True, True, None, False),
-        ("batched", True, True, None, True),
-    ),
+    "membatch": (("serial", False, False), ("batched", True, False)),
+    "replay": (("serial", True, False), ("batched", True, True)),
 }
 
 
 class _PathPin:
     """Context manager pinning the class-wide execution-path defaults."""
 
-    def __init__(
-        self,
-        batched: bool,
-        replay: bool,
-        backend: "str | None" = None,
-        memvec: "bool | None" = None,
-    ) -> None:
+    def __init__(self, batched: bool, replay: bool) -> None:
         self.batched = batched
         self.replay = replay
-        self.backend = backend
-        self.memvec = memvec
 
     def __enter__(self) -> None:
         self._saved = (
             VectorMachine.use_batched_memory,
             VectorMachine.use_replay,
-            VectorMachine.jit_backend,
-            MemoryHierarchy.use_vectorized_memory,
         )
         VectorMachine.use_batched_memory = self.batched
         VectorMachine.use_replay = self.replay
-        if self.backend is not None:
-            VectorMachine.jit_backend = self.backend
-        if self.memvec is not None:
-            MemoryHierarchy.use_vectorized_memory = self.memvec
 
     def __exit__(self, *exc) -> None:
         (
             VectorMachine.use_batched_memory,
             VectorMachine.use_replay,
-            VectorMachine.jit_backend,
-            MemoryHierarchy.use_vectorized_memory,
         ) = self._saved
 
 
@@ -304,28 +242,6 @@ def _replay_ss(reps: int):
     return result.stats()
 
 
-def _memvec_gather(reps: int):
-    # A small rotation of base offsets over an L1-resident buffer: the
-    # same eight (base-in-line offset, entry stride, delta stream) keys
-    # recur every lap, so after one warmup lap the pattern-memoization
-    # layer replays every batch closed-form.  The serial leg walks the
-    # identical batches request by request — the cell isolates the
-    # hierarchy engine itself.  Byte gathers at the widest lane count
-    # (64 lanes of 8-bit elements) make each batch a full-length scalar
-    # walk on the serial leg while the replay commit stays a few distinct
-    # lines.
-    machine = make_machine(SystemConfig())
-    data = (np.arange(32 << 10) % 251).astype(np.int64)  # 32KB, L1-resident
-    buf = machine.new_buffer("memvec", data, elem_bytes=1)
-    lanes = machine.lanes(8)
-    span = 2 * lanes
-    for rep in range(reps):
-        idx = machine.iota(8, start=(rep % 8) * span, step=2)
-        machine.gather(buf, idx, stream_id=17)
-    machine.barrier()
-    return machine.snapshot()
-
-
 _WORKLOADS = {
     "stride_sweep": _stride_sweep,
     "random_gather": _random_gather,
@@ -335,10 +251,6 @@ _WORKLOADS = {
     # dimension flipped to interpreted vs recorded-program execution.
     "replay_extend": _replay_extend,
     "replay_ss": _replay_ss,
-    # The memvec workload runs the serial per-request hierarchy walk vs
-    # the vectorized memory-model engine (pattern replay) on a
-    # repeated-pattern gather stream.
-    "memvec_gather": _memvec_gather,
 }
 
 
@@ -358,15 +270,6 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
     are subtracted out to give the steady-state times
     (``steady_*_s``/``speedup_steady``) alongside the raw wall-clock
     ones.  ``dimension`` picks which toggle the legs differ in.
-
-    When both legs spend measurable time inside compiled kernels the
-    cell additionally reports the *kernel-net* split: per leg, the
-    replay meter's in-kernel seconds minus the memory-model seconds
-    spent simulating the cache hierarchy inside those kernels — the
-    time attributable to the generated code itself.
-    ``speedup_kernel`` is their ratio, the number that isolates what a
-    codegen backend changed (the hierarchy simulation is shared by all
-    backends and would otherwise dilute it).
     """
     legs = _LEGS[dimension]
     warm_start = time.perf_counter()
@@ -376,7 +279,6 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
     warmup_s = time.perf_counter() - warm_start
     timings = {}
     steady = {}
-    kernel_net = {}
     mem_model = {}
     kernel_run = {}
     stats = {}
@@ -394,13 +296,10 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
                 meter = REPLAY_METER.delta(meter_before)
             compile_total += compiled
             steady_elapsed = max(elapsed - compiled, 1e-9)
-            knet = meter["kernel_run_s"] - meter["mem_model_s"]
             if label not in timings or elapsed < timings[label]:
                 timings[label] = elapsed
             if label not in steady or steady_elapsed < steady[label]:
                 steady[label] = steady_elapsed
-            if label not in kernel_net or knet < kernel_net[label]:
-                kernel_net[label] = knet
             # Keep the mem-model seconds and the kernel seconds from
             # the same (best) round so the reported share is internally
             # consistent.
@@ -421,7 +320,7 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
         ),
         "stats_identical": stats["serial"] == stats["batched"],
         # Per-leg memory-model seconds and their share of the in-kernel
-        # seconds — the quantity the vectorized memory engine shrinks.
+        # seconds.
         "mem_model_serial_s": round(mem_model["serial"], 4),
         "mem_model_batched_s": round(mem_model["batched"], 4),
         "mem_model_share_serial": round(
@@ -439,15 +338,6 @@ def _measure(workload, reps: int, rounds: int = 3, dimension: str = "membatch"):
         cell["speedup_mem_model"] = round(
             mem_model["serial"] / mem_model["batched"], 3
         )
-    # The kernel-net split only means something when both legs actually
-    # ran compiled kernels (an interpreted or meter-resetting leg shows
-    # ~0 or garbage) — degenerate cells simply omit the keys.
-    if kernel_net["serial"] > 1e-4 and kernel_net["batched"] > 1e-4:
-        cell["kernel_serial_s"] = round(kernel_net["serial"], 4)
-        cell["kernel_batched_s"] = round(kernel_net["batched"], 4)
-        cell["speedup_kernel"] = round(
-            kernel_net["serial"] / kernel_net["batched"], 3
-        )
     return cell
 
 
@@ -455,15 +345,11 @@ def run_bench(
     quick: bool = False,
     out: "str | os.PathLike | None" = DEFAULT_OUT,
     only: "list[str] | None" = None,
-    dimension: "str | None" = None,
 ) -> dict:
     """Run the micro-workloads; returns (and optionally writes) the report.
 
     ``quick`` shrinks every workload's repetition count (the CI smoke
-    setting); ``only`` restricts to a subset of workload names;
-    ``dimension`` overrides every selected workload's toggled dimension
-    (``--dimension backend`` reruns e.g. replay_extend as plain
-    generated-numpy vs the process-default backend).
+    setting); ``only`` restricts to a subset of workload names.
     """
     names = list(_WORKLOADS) if not only else list(only)
     unknown = [n for n in names if n not in _WORKLOADS and n != SERVE_WORKLOAD]
@@ -471,11 +357,6 @@ def run_bench(
         raise ReproError(
             f"unknown bench workload(s) {', '.join(unknown)}; "
             f"choose from {', '.join(_WORKLOADS)}, {SERVE_WORKLOAD}"
-        )
-    if dimension is not None and dimension not in _LEGS:
-        raise ReproError(
-            f"unknown bench dimension {dimension!r}; "
-            f"choose from {', '.join(sorted(_LEGS))}"
         )
     report = {
         "version": __version__,
@@ -487,10 +368,9 @@ def run_bench(
         },
         "note": (
             "serial = the slow leg of each workload's dimension "
-            "(per-lane walk, interpreted execution, generated numpy or "
-            "the serial hierarchy walk); batched = the fast leg "
-            "(access_batch, replay, numpy-opt or memvec); both legs are "
-            "checked for bit-identical statistics"
+            "(per-lane walk or interpreted execution); batched = the fast "
+            "leg (access_batch or replay); both legs are checked for "
+            "bit-identical statistics"
         ),
         "workloads": {},
     }
@@ -509,7 +389,7 @@ def run_bench(
             "reps": reps,
             **_measure(
                 _WORKLOADS[name], reps,
-                dimension=dimension or _DIMENSIONS.get(name, "membatch"),
+                dimension=_DIMENSIONS.get(name, "membatch"),
             ),
         }
     if out is not None:
@@ -523,9 +403,9 @@ def run_bench(
 def check_report(report: dict, gate: str = "stride_sweep") -> "list[str]":
     """CI gate: failures if stats diverge or a gated workload regressed.
 
-    Every replay-, backend- and memvec-dimension workload in the report
-    is gated on speedup in addition to ``gate`` — a fast path must never
-    make a routed loop slower than its slow leg.
+    Every replay-dimension workload in the report is gated on speedup in
+    addition to ``gate`` — a fast path must never make a routed loop
+    slower than its slow leg.
     """
     failures = []
     for name, cell in report["workloads"].items():
@@ -536,22 +416,15 @@ def check_report(report: dict, gate: str = "stride_sweep") -> "list[str]":
     gated_names = [gate] + sorted(
         name
         for name, cell in report["workloads"].items()
-        if cell.get("dimension") in ("replay", "backend", "memvec")
-        and name != gate
+        if cell.get("dimension") == "replay" and name != gate
     )
     for name in gated_names:
         cell = report["workloads"].get(name)
         if cell is None:
             continue
         # Gate on the steady-state ratio when the report carries it:
-        # compile time is a warmup charge, not a regression.  Backend
-        # cells gate on the kernel-net ratio instead — both legs run
-        # the same shared simulator, so only the generated-kernel time
-        # carries the backend's signal.
-        if cell.get("dimension") == "backend" and "speedup_kernel" in cell:
-            speedup = cell["speedup_kernel"]
-        else:
-            speedup = cell.get("speedup_steady", cell["speedup"])
+        # compile time is a warmup charge, not a regression.
+        speedup = cell.get("speedup_steady", cell["speedup"])
         if speedup < 1.0:
             failures.append(
                 f"{name}: batched path slower than serial "
@@ -594,12 +467,8 @@ def check_regression(
             continue
         # Compare steady-state speedups when both reports carry them —
         # compile time varies with the kernel-cache temperature and
-        # would otherwise dominate the quick-mode ratio.  Backend cells
-        # compare kernel-net speedups for the same reason check_report
-        # gates them on it.
-        if "speedup_kernel" in cell and "speedup_kernel" in ref:
-            key = "speedup_kernel"
-        elif "speedup_steady" in cell and "speedup_steady" in ref:
+        # would otherwise dominate the quick-mode ratio.
+        if "speedup_steady" in cell and "speedup_steady" in ref:
             key = "speedup_steady"
         else:
             key = "speedup"
@@ -623,20 +492,13 @@ def render_report(report: dict) -> str:
     ]
     for name, cell in report["workloads"].items():
         dim = cell.get("dimension")
-        tag = (
-            f" ({dim})"
-            if dim in ("replay", "backend", "memvec", "serve")
-            else ""
-        )
+        tag = f" ({dim})" if dim in ("replay", "serve") else ""
         if dim == "serve":
             tag += (
                 f" [{cell.get('served_aps', 0)}/{cell.get('offered_aps', 0)} "
                 f"aps, p50 {cell.get('p50_ms', 0):.0f}ms "
                 f"p99 {cell.get('p99_ms', 0):.0f}ms]"
             )
-        kernel = cell.get("speedup_kernel")
-        if kernel is not None:
-            tag += f" [kernel {kernel:.2f}x]"
         mem = cell.get("speedup_mem_model")
         if mem is not None:
             tag += f" [mem {mem:.2f}x]"

@@ -7,14 +7,12 @@ parallel engine, the calibration-cache traffic
 experiment, and the replay-engine effectiveness (replayed vs interpreted
 instruction counts and the fused-block hit rate from
 :data:`repro.vector.program.REPLAY_METER`).  When the replay JIT emitted
-kernels inside the window, a codegen segment reports the backend that
-ran, the compile-vs-run wall-time split (``compile_s`` vs
-``kernel_run_s``, with the memory-hierarchy simulation time
-``mem_model_s`` broken out as a share of wall time), kernel-cache
-traffic, fallback downgrades,
-and arena growth.  The point is a stable
-baseline for future perf work — the numbers land in one place instead of
-being re-derived ad hoc.
+kernels inside the window, a codegen segment reports the compile-vs-run
+wall-time split (``compile_s`` vs ``kernel_run_s``, with the
+memory-hierarchy simulation time ``mem_model_s`` broken out as a share
+of wall time), kernel-cache traffic and arena growth.  The point is a
+stable baseline for future perf work — the numbers land in one place
+instead of being re-derived ad hoc.
 """
 
 from __future__ import annotations
@@ -94,18 +92,16 @@ class ExperimentTiming:
             f"replayed, {replay.get('interpreted_instructions', 0)} "
             f"interpreted, {self.replay_hit_rate:.0%} block hit rate"
             + (
-                f" | codegen[{replay.get('backend') or '?'}]: "
+                f" | codegen: "
                 f"{replay.get('emissions', 0)} emissions, "
                 f"{replay.get('kernel_compiles', 0)} compiles "
                 f"({replay.get('compile_s', 0.0):.2f}s), "
                 f"{replay.get('kernel_cache_hits', 0)} kernel-cache hits, "
-                f"{replay.get('backend_fallbacks', 0)} fallbacks, "
                 f"arena +{replay.get('arena_bytes', 0) / 1024:.0f} KiB, "
                 f"kernels {replay.get('kernel_run_s', 0.0):.2f}s run "
                 f"(mem model {replay.get('mem_model_s', 0.0):.2f}s, "
                 f"{self.mem_model_share:.0%} of wall)"
-                if replay.get("backends")
-                or replay.get("kernel_cache_hits", 0)
+                if replay.get("kernel_cache_hits", 0)
                 or replay.get("kernel_compiles", 0)
                 else ""
             )
@@ -114,11 +110,9 @@ class ExperimentTiming:
                 f"pattern replays ({self.memvec_replay_rate:.0%} of "
                 f"memoizable batches), "
                 f"{replay.get('memvec_patterns_compiled', 0)} compiled, "
-                f"{replay.get('memvec_pattern_declined', 0)} declined, "
-                f"{replay.get('memvec_vector_rows', 0)} vector-phase rows"
+                f"{replay.get('memvec_pattern_declined', 0)} declined"
                 if replay.get("memvec_pattern_hits", 0)
                 or replay.get("memvec_pattern_misses", 0)
-                or replay.get("memvec_vector_rows", 0)
                 else ""
             )
             + (
@@ -232,7 +226,6 @@ def render_report(records: "list[ExperimentTiming] | None" = None) -> str:
             "replay_instr": r.replay.get("replayed_instructions", 0),
             "interp_instr": r.replay.get("interpreted_instructions", 0),
             "replay_hit_rate": round(r.replay_hit_rate, 3),
-            "backend": r.replay.get("backend", ""),
             "kernel_compiles": r.replay.get("kernel_compiles", 0),
             "kcache_hits": r.replay.get("kernel_cache_hits", 0),
             "kernel_run_s": round(r.replay.get("kernel_run_s", 0.0), 2),

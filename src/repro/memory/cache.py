@@ -208,18 +208,6 @@ class Cache:
         self._fill_count[:] = [0] * (self._set_mask + 1)
         self._slot_of.clear()
 
-    def resident_mask(self, line_addrs: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`probe`: one bool per line address, True iff
-        resident.  Touches no LRU state and no statistics — it is the
-        tag-match pass of the vectorized batch engine
-        (:mod:`repro.memory.memvec`), comparing each address against
-        every way of its set in one shot.
-        """
-        sets = self._set_mask + 1
-        set_idx = (line_addrs >> self._line_shift) & self._set_mask
-        tags = self._tags.reshape(sets, self._ways)
-        return (tags[set_idx] == line_addrs[:, None]).any(axis=1)
-
     @property
     def resident_lines(self) -> int:
         return len(self._slot_of)

@@ -5,11 +5,18 @@ returning the load-to-use latency and updating per-level statistics.
 Both levels train a stride prefetcher; prefetched lines are filled without
 charging latency to the triggering request (their DRAM traffic *is*
 counted, feeding the bandwidth model).
+
+Batched requests (:meth:`MemoryHierarchy.access_batch`) have one engine
+per batch length: a plain Python walk for short batches, fronted by
+pattern memoization (:mod:`repro.memory.memvec`) that retires a repeated
+pure-hit batch shape closed-form, and a NumPy pre-pass for batches over
+64 requests that collapses same-line repeats before the exact walk.
+Both are bit-identical to the per-request :meth:`MemoryHierarchy.access`
+loop.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,19 +79,6 @@ class MemoryStats:
 
 class MemoryHierarchy:
     """L1D + shared L2 + DRAM, with stride prefetchers at both levels."""
-
-    #: Run the vectorized memory-model engine
-    #: (:mod:`repro.memory.memvec`): repeated batch shapes retire
-    #: closed-form from memoized patterns, and large batches are
-    #: phase-split between vectorized pure-hit retirement and the exact
-    #: scalar walk.  Both paths are bit-identical to the serial walk in
-    #: statistics, latencies, LRU order and prefetcher training
-    #: (enforced by the conformance grid's memvec axis and ``repro
-    #: bench --check``); disable with ``--no-memvec`` or
-    #: ``REPRO_NO_MEMVEC=1`` (the env var also reaches spawned worker
-    #: processes).  Class-wide default; instances may override.
-    use_vectorized_memory = os.environ.get("REPRO_NO_MEMVEC", "") not in (
-        "1", "true", "yes")
 
     def __init__(self, system: SystemConfig | None = None) -> None:
         self.system = system or SystemConfig()
@@ -320,20 +314,14 @@ class MemoryHierarchy:
         # Engine counter block, threaded through the row walkers:
         # [clock, hits, misses, pf_hits, nreq, issued].
         state = [l1._clock, collapsed, 0, 0, collapsed, 0]
-        if self.use_vectorized_memory and idxs.size >= memvec.PHASE_MIN:
-            memvec.retire_rows(
-                self, arr, first, strides, conf, idxs, out,
-                size_bytes, stream_id, state,
-            )
-        else:
-            self._walk_rows(
-                idxs.tolist(),
-                arr.tolist(),
-                first.tolist(),
-                strides.tolist() if strides is not None else None,
-                conf.tolist() if conf is not None else (),
-                out, size_bytes, stream_id, state,
-            )
+        self._walk_rows(
+            idxs.tolist(),
+            arr.tolist(),
+            first.tolist(),
+            strides.tolist() if strides is not None else None,
+            conf.tolist() if conf is not None else (),
+            out, size_bytes, stream_id, state,
+        )
         l1._clock = state[0]
         l1.stats.hits += state[1]
         l1.stats.misses += state[2]
@@ -352,14 +340,11 @@ class MemoryHierarchy:
     ):
         """Exact scalar retirement of full-processing batch rows.
 
-        The single source of truth for hit/miss/fill/prefetch
-        interleaving on the large-batch path: with the vectorized
-        engine off every row walks through here, and with it on the
-        phase splitter (:func:`repro.memory.memvec.retire_rows`)
-        delegates its miss/prefetch-bearing chunks so LRU and
-        prefetcher order are preserved through every fill.  ``state``
-        is the mutable counter block ``[clock, hits, misses, pf_hits,
-        nreq, issued]``; the caller commits it to the cache.
+        Every row of the large-batch path that the collapse rule keeps
+        walks through here, in order, so LRU and prefetcher order are
+        preserved through every fill.  ``state`` is the mutable counter
+        block ``[clock, hits, misses, pf_hits, nreq, issued]``; the
+        caller commits it to the cache.
         """
         l1 = self.l1
         slot_of = l1._slot_of
@@ -541,7 +526,7 @@ class MemoryHierarchy:
             )
         (l1, l1_lat, line, not_mask, slot_of, slot_get, tick, pf_flag,
          fill_from_l2, pf, prefetch_rels) = ctx
-        if pf is not None and self.use_vectorized_memory:
+        if pf is not None:
             # Adaptive per-stream scoring keeps the memoization attempt
             # off streams that never pay: replays and fresh compiles
             # feed the score, sightings and declines drain it, and an

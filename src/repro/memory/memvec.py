@@ -1,50 +1,36 @@
-"""Vectorized execution engine for the memory-hierarchy model.
+"""Pattern memoization for the memory-hierarchy model's short batches.
 
-Two cooperating fast paths, both bit-identical to the serial walk and
-both gated by ``MemoryHierarchy.use_vectorized_memory`` (``--no-memvec``
-/ ``REPRO_NO_MEMVEC=1``):
-
-**Pattern memoization** (:func:`replay_batch`).  Replay-loop kernels
-issue the *same shaped* short gather over and over: identical
-address-delta stream, identical line offset, identical prefetcher
-hand-off.  The state delta such a batch applies — which lines are
-touched in what order, how many ticks the LRU clock advances, which
+Replay-loop kernels issue the *same shaped* short gather over and over:
+identical address-delta stream, identical line offset, identical
+prefetcher hand-off.  The state delta such a batch applies — which lines
+are touched in what order, how many ticks the LRU clock advances, which
 prefetch targets are staged, what the stream entry ends up holding — is
 a pure function of the shape; only *hit or miss* depends on cache
-contents.  So the shape is keyed like the replay JIT's kernel cache
-(``(line offset, stride hand-off, size, delta stream)``), compiled once
-into a closed-form :class:`_Pattern` on its second sighting, and
-replayed whenever validation shows the batch is a pure-hit run: every
-demand line resident, every emitted prefetch target resident (a
-resident target is skipped by the fill loop with zero state change),
-and the recorded sign decisions still valid at the new base address.
-There is deliberately **no cache-state fingerprint hash and no
+contents.  So :func:`replay_batch` keys the shape like the replay JIT's
+kernel cache (``(line offset, stride hand-off, size, delta stream)``),
+compiles it once into a closed-form :class:`_Pattern` on its second
+sighting, and replays it whenever validation shows the batch is a
+pure-hit run: every demand line resident, every emitted prefetch target
+resident (a resident target is skipped by the fill loop with zero state
+change), and the recorded sign decisions still valid at the new base
+address.  There is deliberately **no cache-state fingerprint hash and no
 invalidation protocol**: the "fingerprint" is verified live against
 ``Cache._slot_of`` at replay time, so scalar-path interleaves (fills,
 evictions, resets) can never make a replay unsound — they simply make
 the next validation decline and fall through to the exact walk.
 
-**Phase-split retirement** (:func:`retire_rows`).  Large batches
-(``access_batch``'s ``n > _SCALAR_BATCH_MAX`` path) are classified
-against the flat cache tag arrays in one shot
-(:meth:`repro.memory.cache.Cache.resident_mask`): a row is *dirty* if
-it spans multiple lines, its demand line is not resident, or it emits a
-prefetch target that is not resident.  The leading run of clean rows is
-retired vectorized — distinct-line LRU timestamps via one sort, counter
-bumps closed-form — then a chunk of rows past the first dirty row runs
-the exact scalar walk (preserving LRU/prefetcher interleaving through
-the fill), and the remainder is reclassified.  Misses are where the
-walk spends its time anyway, so the chunk size adapts to the remaining
-length to bound reclassification passes.
+``MemoryHierarchy._access_batch_scalar`` calls it before every walk on
+a prefetching L1, behind a per-stream score that stops attempting on
+streams where replays never pay (see the score in that method).  A
+replay is bit-identical to the walk it replaces: statistics,
+latencies, LRU order and prefetcher training.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class MemVecMeter:
-    """Process-global counters for the vectorized memory engine.
+    """Process-global counters for pattern memoization.
 
     Snapshot/reset ride :class:`repro.vector.program.ReplayMeter` so the
     numbers land in every timing report and bench record.
@@ -55,7 +41,6 @@ class MemVecMeter:
         "pattern_misses",
         "patterns_compiled",
         "pattern_declined",
-        "vector_rows",
     )
 
     def __init__(self) -> None:
@@ -70,8 +55,6 @@ class MemVecMeter:
         self.patterns_compiled = 0
         #: Replays declined by validation (non-resident line / base sign).
         self.pattern_declined = 0
-        #: Large-batch rows retired by the vectorized phase engine.
-        self.vector_rows = 0
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -83,10 +66,6 @@ MEMVEC_METER = MemVecMeter()
 #: (patterns are cheap to recompile and a churning key space means the
 #: workload is not replay-shaped anyway).
 _TABLE_MAX = 4096
-
-#: Minimum full-processing row count before the phase engine pays for
-#: its numpy classification passes (below this the scalar walk wins).
-PHASE_MIN = 32
 
 
 class _Pattern:
@@ -291,110 +270,3 @@ def replay_batch(hier, arr, size_bytes, stream_id, pf, line, degree):
     MEMVEC_METER.pattern_hits += 1
     return REPLAYED
 
-
-def retire_rows(
-    hier, arr, first, strides, conf, idxs, out, size_bytes, stream_id, state
-):
-    """Phase-split retirement of ``access_batch``'s full-processing rows.
-
-    ``state`` is the engine's mutable counter block ``[clock, hits,
-    misses, pf_hits, nreq, issued]`` (see
-    ``MemoryHierarchy._walk_rows``); clean runs are committed here
-    vectorized, dirty chunks are delegated to the exact scalar walk.
-    """
-    l1 = hier.l1
-    line = hier.system.l1d.line_bytes
-    shift = l1._line_shift
-    not_mask = ~(line - 1)
-    rows_addr = arr[idxs]
-    rows_lo = first[idxs]
-    rows_hi = (rows_addr + (size_bytes - 1)) & not_mask
-    base_dirty = (rows_lo != rows_hi) | (rows_lo < 0)
-    m = int(idxs.size)
-    if conf is not None:
-        rows_conf = conf[idxs]
-        rows_stride = strides[idxs]
-        degree = hier._l1_degree
-    else:
-        rows_conf = None
-    arr_l = arr.tolist()
-    first_l = first.tolist()
-    strides_l = strides.tolist() if strides is not None else None
-    conf_l = conf.tolist() if conf is not None else ()
-    idxs_l = idxs.tolist()
-    slot_of = l1._slot_of
-    tick = l1._tick
-    pf_flag = l1._pf
-    pos = 0
-    while pos < m:
-        sl = slice(pos, m)
-        dirty = base_dirty[sl] | ~l1.resident_mask(rows_lo[sl])
-        if rows_conf is not None and rows_conf[sl].any():
-            # Per-row prefetch emission, dedup via the running last-line
-            # register (targets are monotone in k for a fixed stride).
-            cs = rows_conf[sl]
-            lo_s = rows_lo[sl]
-            hi_s = rows_hi[sl]
-            tk = rows_addr[sl].copy()
-            st = rows_stride[sl]
-            lastl = np.full(m - pos, -1, dtype=np.int64)
-            iss = np.zeros(m - pos, dtype=np.int64)
-            for _ in range(degree):
-                tk += st
-                tl = tk & not_mask
-                inc = (tk >= 0) & cs & ((tl < lo_s) | (tl > hi_s))
-                inc &= tl != lastl
-                np.copyto(lastl, tl, where=inc)
-                iss += inc
-                if inc.any():
-                    dirty |= inc & ~l1.resident_mask(tl)
-        else:
-            iss = None
-        nd = int(np.argmax(dirty)) if dirty.any() else m - pos
-        if nd:
-            # Clean run: every row a single resident line, every emitted
-            # target resident — only ticks and counters move.  Distinct
-            # lines keep their *last* touch position, extracted with a
-            # sorted-key compression.
-            run_lo = rows_lo[pos : pos + nd]
-            pshift = (nd + 1).bit_length()
-            key = ((run_lo >> shift) << pshift) | np.arange(
-                1, nd + 1, dtype=np.int64
-            )
-            key.sort()
-            lines_s = key >> pshift
-            last = np.empty(nd, dtype=bool)
-            last[-1] = True
-            np.not_equal(lines_s[:-1], lines_s[1:], out=last[:-1])
-            clock0 = state[0]
-            pmask = (1 << pshift) - 1
-            for v in key[last].tolist():
-                slot = slot_of[(v >> pshift) << shift]
-                tick[slot] = clock0 + (v & pmask)
-                if pf_flag[slot]:
-                    pf_flag[slot] = 0
-                    state[3] += 1
-            state[0] = clock0 + nd
-            state[1] += nd
-            state[4] += nd
-            if iss is not None:
-                state[5] += int(iss[:nd].sum())
-            MEMVEC_METER.vector_rows += nd
-            pos += nd
-            if pos >= m:
-                break
-        # Walk the dirty row plus an adaptive chunk through the exact
-        # engine (fills must interleave in order), then reclassify.
-        chunk = max(16, (m - pos) >> 3)
-        hier._walk_rows(
-            idxs_l[pos : pos + chunk],
-            arr_l,
-            first_l,
-            strides_l,
-            conf_l,
-            out,
-            size_bytes,
-            stream_id,
-            state,
-        )
-        pos += chunk

@@ -27,7 +27,6 @@ import sys
 import tempfile
 
 from repro.cache import CALIBRATION, configure_from_env
-from repro.errors import ReproError
 from repro.eval.supervise import FaultPlan
 from repro.serve.client import batch_reference_records, dataset_requests, open_loop
 from repro.serve.engine import ServeEngineConfig
@@ -36,8 +35,6 @@ from repro.serve.server import AlignmentServer, ServeConfig
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.cli import add_jit_backend_argument
-
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Async alignment service: JSONL requests in, "
@@ -121,11 +118,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--no-replay", action="store_true",
         help="interpret every vector op (bit-identical results)",
     )
-    toggles.add_argument(
-        "--no-memvec", action="store_true",
-        help="disable the vectorized memory model (bit-identical results)",
-    )
-    add_jit_backend_argument(toggles)
     parser.add_argument("--no-cache", action="store_true")
     smoke = parser.add_argument_group("smoke mode (CI)")
     smoke.add_argument(
@@ -233,11 +225,7 @@ async def _smoke(args) -> int:
 
 def serve_main(argv: "list[str]") -> int:
     """``python -m repro serve [--unix P | --port N | --stdio | --smoke]``."""
-    from repro.cli import (
-        _disable_memvec,
-        _disable_replay,
-        _set_jit_backend,
-    )
+    from repro.cli import _disable_replay
 
     args = build_serve_parser().parse_args(argv)
     configure_from_env(default_disk=not args.no_cache)
@@ -245,9 +233,6 @@ def serve_main(argv: "list[str]") -> int:
         CALIBRATION.disable_disk()
     if args.no_replay:
         _disable_replay()
-    if args.no_memvec:
-        _disable_memvec()
-    _set_jit_backend(args.jit_backend)
     if args.smoke:
         return asyncio.run(_smoke(args))
     transports = sum(

@@ -73,27 +73,15 @@ def _toggles_snapshot() -> tuple:
     under a spawn start method too.  A worker started under another
     snapshot is replaced before it runs a batch.
     """
-    from repro.memory.hierarchy import MemoryHierarchy
     from repro.vector.machine import VectorMachine
 
-    return (
-        VectorMachine.use_batched_memory,
-        VectorMachine.use_replay,
-        VectorMachine.jit_backend,
-        MemoryHierarchy.use_vectorized_memory,
-    )
+    return VectorMachine.use_batched_memory, VectorMachine.use_replay
 
 
 def _apply_toggles(toggles: tuple) -> None:
-    from repro.memory.hierarchy import MemoryHierarchy
     from repro.vector.machine import VectorMachine
 
-    (
-        VectorMachine.use_batched_memory,
-        VectorMachine.use_replay,
-        VectorMachine.jit_backend,
-        MemoryHierarchy.use_vectorized_memory,
-    ) = toggles
+    VectorMachine.use_batched_memory, VectorMachine.use_replay = toggles
 
 
 def compute_batch(requests: "list[AlignRequest]", fleet=None) -> list:

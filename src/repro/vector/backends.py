@@ -1,57 +1,45 @@
-"""Pluggable codegen backends for the replay JIT.
+"""Kernel emitter for the replay JIT.
 
-:mod:`repro.vector.program` lowers a captured trace to a backend-neutral
+:mod:`repro.vector.program` lowers a captured trace to a
 :class:`KernelIR` (the head/body/tail source lines plus everything known
-about the recording's register slots); a :class:`Backend` turns that IR
-into the callable kernel.  Three backends are registered:
+about the recording's register slots); :func:`emit` turns that IR into
+the callable kernel.  The emitter is a source-level optimizer over the
+IR's neutral source:
 
-``numpy``
-    The seed behavior: compile the neutral source verbatim.  One
-    temporary array is allocated per op and every masked input's
-    regime test is a ``.all()`` method call.
+* **CSE** — structurally identical pure right-hand sides are replaced
+  with an alias of the first computation (invalidated the moment any
+  operand is reassigned, so predicated merges never serve stale
+  values).
+* **Dead-temporary elimination** — pure computes whose slot is never
+  read again are dropped before any buffers are leased.
+* **Guard fusion** — each masked input's ``dN.all()`` regime test
+  becomes one ``count_nonzero`` (one C reduction instead of a Python
+  method chain).
+* **Gather-path rewrites** — each indexed memory issue calls a
+  per-buffer entry with the buffer geometry baked in, shares the lane
+  list with its range guard, and a ``ctz(a ^ b) >> k`` chain fuses into
+  one per-lane loop.
+* **``out=``-rewriting into a scratch-buffer arena** — every
+  unconditional compute of a non-escaping slot writes into a pooled,
+  dtype-stable buffer leased from :data:`ARENA`, so steady-state replay
+  allocates zero new arrays.  ``np.minimum`` / ``np.maximum`` take the
+  ``out=`` keyword (their positional third argument is a deprecated
+  slow path); every other ufunc takes it positionally.
 
-``numpy-opt`` (the default)
-    A source-level optimizer over the same neutral source:
+The conformance grid and ``tests/vector/test_backends.py`` hold every
+kernel to the interpreter: the rewrites change *how* values are
+computed, never the values, the clock arithmetic, or the counter
+updates.
 
-    * **CSE** — structurally identical pure right-hand sides are
-      replaced with an alias of the first computation (invalidated the
-      moment any operand is reassigned, so predicated merges never
-      serve stale values).
-    * **Dead-temporary elimination** — pure computes whose slot is
-      never read again are dropped before any buffers are leased.
-    * **Guard fusion** — each masked input's ``dN.all()`` regime test
-      becomes one ``count_nonzero`` (one C reduction instead of a
-      Python method chain).
-    * **``out=``-rewriting into a scratch-buffer arena** — every
-      unconditional compute of a non-escaping slot writes into a
-      pooled, dtype-stable buffer leased from :data:`ARENA`, so
-      steady-state replay allocates zero new arrays.  ``np.minimum`` /
-      ``np.maximum`` take the ``out=`` keyword (their positional third
-      argument is a deprecated slow path); every other ufunc takes it
-      positionally.
-
-``numba``
-    Optional: CSE + DTE, then maximal straight-line ALU runs are lifted
-    into ``@njit`` helper functions.  Import-guarded — when numba is
-    missing (or a segment fails to compile at first call) the emit
-    falls back to ``numpy-opt`` and the downgrade is metered on
-    ``backend_fallbacks``.
-
-Every backend is stats-identity gated by the conformance grid: the
-rewrites above change *how* values are computed, never the values, the
-clock arithmetic, or the counter updates.
-
-Emitted kernels are memoized per backend on the neutral source and
-persisted to a CRC-guarded on-disk cache under
-``.repro_cache/kernels/`` — see :func:`kernel_cache.load` for the
-corruption-tolerant load path.
+Emitted kernels are memoized on the neutral source and persisted to a
+CRC-guarded on-disk cache under ``.repro_cache/kernels/`` — see
+:func:`kernel_cache.load` for the corruption-tolerant load path.
 """
 
 from __future__ import annotations
 
 import re
 import time
-import warnings
 from operator import xor
 
 import numpy as np
@@ -70,15 +58,7 @@ except ImportError:  # pragma: no cover - numpy 1.x layout
     except ImportError:
         _count_nonzero = np.count_nonzero
 
-__all__ = [
-    "ARENA",
-    "BACKEND_NAMES",
-    "CODEGEN_METER",
-    "DEFAULT_BACKEND",
-    "KernelIR",
-    "available_backends",
-    "resolve_backend",
-]
+__all__ = ["ARENA", "CODEGEN_METER", "KernelIR", "emit"]
 
 I = "    "
 
@@ -90,10 +70,7 @@ class CodegenMeter:
     """Counters for the codegen layer, merged into ``REPLAY_METER``
     snapshots (see :meth:`repro.vector.program.ReplayMeter.snapshot`).
 
-    ``backend`` is the name used by the most recent emit; ``backends``
-    counts emits per backend name (a fallback emit counts under the
-    backend that actually ran).  ``emissions`` counts full kernel
-    source emissions in :func:`repro.vector.program._compile` — one
+    ``emissions`` counts full kernel source emissions in :func:`repro.vector.program._compile` — one
     per new block shape; captures of a known shape reuse its source
     and are not counted.  ``compile_s`` accumulates wall time spent
     lowering + compiling on a kernel-cache miss only: it excludes
@@ -102,12 +79,9 @@ class CodegenMeter:
     """
 
     __slots__ = (
-        "backend",
-        "backends",
         "kernel_cache_hits",
         "kernel_cache_misses",
         "kernel_compiles",
-        "backend_fallbacks",
         "emissions",
         "compile_s",
     )
@@ -116,12 +90,9 @@ class CodegenMeter:
         self.reset()
 
     def reset(self) -> None:
-        self.backend = ""
-        self.backends: dict = {}
         self.kernel_cache_hits = 0
         self.kernel_cache_misses = 0
         self.kernel_compiles = 0
-        self.backend_fallbacks = 0
         self.emissions = 0
         self.compile_s = 0.0
 
@@ -173,7 +144,7 @@ class KernelIR:
     the seed emitter produced them; ``source`` (their join) is the
     identity key for the in-memory and on-disk kernel caches.
     ``temps`` maps every non-input, non-external slot to its ``(shape,
-    dtype)`` so backends can lease arena storage; shapes are
+    dtype)`` so the emitter can lease arena storage; shapes are
     per-recording, never persisted.  ``outs`` names the subset of
     ``temps`` that escapes through the return tuple: such a slot never
     takes an arena buffer, because the caller holds it across calls.
@@ -192,7 +163,7 @@ class KernelIR:
 
 
 # ----------------------------------------------------------------------
-# Optimizer passes (shared by numpy-opt and numba lowering)
+# Optimizer passes
 # ----------------------------------------------------------------------
 #: ``dN = rhs`` at any indent (merges and computes alike).
 _ASSIGN_RE = re.compile(r"^(\s*)d(\d+) = (.*)$")
@@ -497,9 +468,8 @@ def _make_fast_imem(buf):
     eb = buf.elem_bytes
     # Memo for the issue path: a replayed block often gathers the same
     # lane set call after call, so the last lanes -> addrs translation
-    # is kept per entry and reused on a C-level list compare (vectorized
-    # memory engine only; pure address arithmetic, bit-identical either
-    # way).
+    # is kept per entry and reused on a C-level list compare (pure
+    # address arithmetic, bit-identical either way).
     memo = [None, None]
 
     def _imf(mach, indices, size_bytes, sid):
@@ -517,9 +487,8 @@ def _make_fast_imem(buf):
                     addrs = [base + i for i in lst]
                 else:
                     addrs = [base + i * eb for i in lst]
-                if mach.mem.use_vectorized_memory:
-                    memo[0] = lst
-                    memo[1] = addrs
+                memo[0] = lst
+                memo[1] = addrs
             t0 = time.perf_counter()
             worst = mach.mem.access_batch_max(addrs, size_bytes, sid)
         else:
@@ -625,329 +594,83 @@ def _helpers_env():
 
 
 # ----------------------------------------------------------------------
-# Backends
+# Emission
 # ----------------------------------------------------------------------
-class _SourceBackend:
-    """Shared emit flow: memory cache -> disk cache -> lower+compile.
+#: Version of the lowering below; it keys the kernel caches, so bump it
+#: whenever the emitted source changes.
+_CACHE_VERSION = 4
 
-    ``_lower`` maps the IR to (optimized source, meta); ``_bind``
-    injects backend-specific env bindings (arena buffers, helpers)
-    before the per-program ``exec``.  Both caches key on the *neutral*
-    source, so structurally identical blocks from different machines
-    share bytecode exactly as the seed's ``_CODE_CACHE`` did.
+#: Compiled kernels by neutral source: ``(code, meta)``.  Cleared whole
+#: once it holds 256 entries.
+_MEMORY: dict = {}
+
+
+def _lower(ir: KernelIR):
+    """The optimized source of ``ir`` and its binding plan (``meta``)."""
+    head = list(ir.head)
+    tail = list(ir.tail)
+    bufs: set = set()
+    imem: set = set()
+    # Output slots never serve as CSE/DTE material (an alias could
+    # outlive a later in-place store) nor take arena buffers.
+    plain = {s: v for s, v in ir.temps.items() if s not in ir.outs}
+    body = _cse_pass(ir.body, plain)
+    body = _dte_pass(head, body, tail, plain, I)
+    head = _fuse_guards(head)
+    body = _cheap_scalar_min(body)
+    body = _fuse_ctz(body, plain, ir.env)
+    body = _share_tolist(_fast_imem(body, imem))
+    body = _arena_pass(body, plain, I, bufs)
+    source = "\n".join(head + body + tail) + "\n"
+    return source, {"bufs": sorted(bufs), "imem": sorted(imem)}
+
+
+def _bind(env: dict, ir: KernelIR, meta: dict) -> None:
+    """Inject the helpers, arena buffers and per-buffer memory entries
+    the optimized source names."""
+    env.update(_helpers_env())
+    counters: dict = {}
+    for kind, slot in meta.get("bufs", ()):
+        shape, dtype = ir.temps[slot]
+        if kind == "m":
+            dtype = "bool"
+        pkey = (kind, dtype, tuple(shape))
+        ordinal = counters.get(pkey, 0)
+        counters[pkey] = ordinal + 1
+        env[f"_{kind}{slot}"] = ARENA.lease(pkey + (ordinal,), shape, dtype)
+    for n in meta.get("imem", ()):
+        env[f"_imf{n}"] = _make_fast_imem(env[f"x{n}"])
+
+
+def emit(ir: KernelIR):
+    """The kernel callable for ``ir``: memory cache -> disk cache ->
+    lower + compile, then bind into the capture's env and ``exec``.
+
+    Both caches key on the *neutral* source, so structurally identical
+    blocks from different machines share bytecode.
     """
-
-    name = "base"
-    cache_version = 1
-
-    def __init__(self):
-        self._memory: dict = {}
-
-    def _lower(self, ir: KernelIR):
-        raise NotImplementedError
-
-    def _bind(self, env: dict, ir: KernelIR, meta: dict) -> None:
-        pass
-
-    def emit(self, ir: KernelIR):
-        CODEGEN_METER.backend = self.name
-        CODEGEN_METER.backends[self.name] = (
-            CODEGEN_METER.backends.get(self.name, 0) + 1
-        )
-        entry = self._memory.get(ir.source)
-        if entry is not None:
+    entry = _MEMORY.get(ir.source)
+    if entry is not None:
+        CODEGEN_METER.kernel_cache_hits += 1
+        code, meta = entry
+    else:
+        digest = kernel_cache.digest(_CACHE_VERSION, ir.source)
+        cached = kernel_cache.load(digest)
+        if cached is not None:
             CODEGEN_METER.kernel_cache_hits += 1
-            code, meta = entry
+            code, meta = cached["code"], cached["meta"]
         else:
-            digest = kernel_cache.digest(
-                self.name, self.cache_version, ir.source
-            )
-            cached = kernel_cache.load(digest)
-            if cached is not None:
-                CODEGEN_METER.kernel_cache_hits += 1
-                code, meta = cached["code"], cached["meta"]
-            else:
-                CODEGEN_METER.kernel_cache_misses += 1
-                CODEGEN_METER.kernel_compiles += 1
-                start = time.perf_counter()
-                source, meta = self._lower(ir)
-                code = compile(source, "<recorded-program>", "exec")
-                CODEGEN_METER.compile_s += time.perf_counter() - start
-                kernel_cache.store(digest, self.name, code, meta)
-            if len(self._memory) >= 256:
-                self._memory.clear()
-            self._memory[ir.source] = (code, meta)
-        env = ir.env
-        self._bind(env, ir, meta)
-        namespace: dict = {}
-        exec(code, env, namespace)
-        # Top-level helper defs (the numba backend's lifted segments)
-        # bind into the exec locals, but ``_rp`` resolves free names
-        # through ``env`` — promote them so the kernel can see them.
-        for key, value in namespace.items():
-            if key != "_rp":
-                env[key] = value
-        return namespace["_rp"]
-
-
-class NumpyBackend(_SourceBackend):
-    """Seed behavior: the neutral source, verbatim."""
-
-    name = "numpy"
-    cache_version = 1
-
-    def _lower(self, ir: KernelIR):
-        return ir.source, {}
-
-
-class NumpyOptBackend(_SourceBackend):
-    """Optimizing source backend (see module docstring for the passes)."""
-
-    name = "numpy-opt"
-    cache_version = 4
-
-    def _lower(self, ir: KernelIR):
-        head = list(ir.head)
-        tail = list(ir.tail)
-        bufs: set = set()
-        imem: set = set()
-        # Output slots never serve as CSE/DTE material (an alias could
-        # outlive a later in-place store) nor take arena buffers.
-        plain = {s: v for s, v in ir.temps.items() if s not in ir.outs}
-        body = _cse_pass(ir.body, plain)
-        body = _dte_pass(head, body, tail, plain, I)
-        head = _fuse_guards(head)
-        body = _cheap_scalar_min(body)
-        body = _fuse_ctz(body, plain, ir.env)
-        body = _share_tolist(_fast_imem(body, imem))
-        body = _arena_pass(body, plain, I, bufs)
-        source = "\n".join(head + body + tail) + "\n"
-        return source, {"bufs": sorted(bufs), "imem": sorted(imem)}
-
-    def _bind(self, env: dict, ir: KernelIR, meta: dict) -> None:
-        env.update(_helpers_env())
-        counters: dict = {}
-        for kind, slot in meta.get("bufs", ()):
-            shape, dtype = ir.temps[slot]
-            if kind == "m":
-                dtype = "bool"
-            pkey = (kind, dtype, tuple(shape))
-            ordinal = counters.get(pkey, 0)
-            counters[pkey] = ordinal + 1
-            env[f"_{kind}{slot}"] = ARENA.lease(
-                pkey + (ordinal,), shape, dtype
-            )
-        for n in meta.get("imem", ()):
-            env[f"_imf{n}"] = _make_fast_imem(env[f"x{n}"])
-
-
-#: Segment-liftable rhs vocabulary: slot reads, baked array/scalar
-#: constants, and plain ufunc calls — everything numba's nopython mode
-#: handles without the machine in scope.
-_SEG_TOKEN = re.compile(r"^(?:d\d+|x\d+|_b_\w+|_c_\w+|_wh)$")
-_MIN_SEGMENT = 4
-
-
-def _seg_liftable(line, base):
-    m = _ASSIGN_RE.match(line)
-    return (
-        m is not None
-        and m.group(1) == base
-        and all(_SEG_TOKEN.match(t) for t in _TOKEN_RE.findall(m.group(3)))
-    )
-
-
-def _lift_segments(body, base, after_text):
-    """Lift maximal runs of straight-line pure ALU assignments into
-    helper functions wrapped by ``_nj`` (the guarded jit decorator).
-
-    Inputs are names read before being defined inside the run (plus
-    baked ``x`` constants); outputs are slots defined in the run and
-    read after it (in the remaining body or the tail).  Runs shorter
-    than ``_MIN_SEGMENT`` stay inline — the call overhead would eat
-    the compiled win.
-    """
-    # Collect maximal liftable runs as (start, end) index spans first,
-    # so each flush can see the text that follows it.
-    spans = []
-    start = None
-    for idx, line in enumerate(body):
-        if _seg_liftable(line, base):
-            if start is None:
-                start = idx
-        elif start is not None:
-            spans.append((start, idx))
-            start = None
-    if start is not None:
-        spans.append((start, len(body)))
-    spans = [s for s in spans if s[1] - s[0] >= _MIN_SEGMENT]
-
-    helpers: list = []
-    out = []
-    cursor = 0
-    for seg, (lo, hi) in enumerate(spans):
-        out.extend(body[cursor:lo])
-        cursor = hi
-        run = body[lo:hi]
-        defined: list = []
-        inputs: list = []
-        for line in run:
-            m = _ASSIGN_RE.match(line)
-            for tok in _TOKEN_RE.findall(m.group(3)):
-                if tok[0] in "dx" and tok[1:].isdigit():
-                    if tok[0] == "d" and tok[1:] in defined:
-                        continue
-                    if tok not in inputs:
-                        inputs.append(tok)
-            if m.group(2) not in defined:
-                defined.append(m.group(2))
-        rest = "\n".join(body[hi:]) + "\n" + after_text
-        later = set(re.findall(r"\bd(\d+)\b", rest))
-        outputs = [s for s in defined if s in later]
-        if not outputs:
-            out.extend(run)
-            continue
-        fn = f"_sg{seg}"
-        helpers.append(f"def {fn}({', '.join(inputs)}):")
-        for line in run:
-            helpers.append(I + line.strip())
-        helpers.append(
-            I + "return " + ", ".join(f"d{s}" for s in outputs)
-            + ("," if len(outputs) == 1 else "")
-        )
-        helpers.append(f"{fn} = _nj({fn})")
-        call = f"{fn}({', '.join(inputs)})"
-        targets = ", ".join(f"d{s}" for s in outputs)
-        if len(outputs) == 1:
-            out.append(f"{base}{targets}, = {call}")
-        else:
-            out.append(f"{base}{targets} = {call}")
-    out.extend(body[cursor:])
-    return out, helpers
-
-
-def _guarded_jit(jit):
-    """Per-segment lazy compile with graceful per-segment fallback:
-    numba's typing failures surface at first call, so the wrapper tries
-    the jitted form once and pins the plain-python original (metering
-    the downgrade) if it raises."""
-
-    def deco(fn):
-        jitted = jit(fn)
-        state = {"impl": None}
-
-        def call(*args):
-            impl = state["impl"]
-            if impl is not None:
-                return impl(*args)
-            try:
-                result = jitted(*args)
-            except Exception:
-                CODEGEN_METER.backend_fallbacks += 1
-                state["impl"] = fn
-                return fn(*args)
-            state["impl"] = jitted
-            return result
-
-        return call
-
-    return deco
-
-
-class NumbaBackend(_SourceBackend):
-    """Optional ``@njit`` segment backend.
-
-    Constructed lazily around the real numba import; tests can inject
-    a stand-in ``jit`` (e.g. the identity) to exercise segment lifting
-    without the dependency.  With numba absent every emit falls back
-    to ``numpy-opt`` with a one-time warning and a meter bump.
-    """
-
-    name = "numba"
-    cache_version = 1
-
-    def __init__(self, jit=None):
-        super().__init__()
-        self._jit = jit
-        self._probed = jit is not None
-        self._warned = False
-
-    @property
-    def available(self) -> bool:
-        if not self._probed:
-            self._probed = True
-            try:
-                from numba import njit
-            except Exception:
-                self._jit = None
-            else:
-                self._jit = njit(cache=False)
-        return self._jit is not None
-
-    def emit(self, ir: KernelIR):
-        if not self.available:
-            CODEGEN_METER.backend_fallbacks += 1
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    "numba backend requested but numba is not "
-                    "importable; falling back to numpy-opt",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return _BACKENDS["numpy-opt"].emit(ir)
-        return super().emit(ir)
-
-    def _lower(self, ir: KernelIR):
-        plain = {s: v for s, v in ir.temps.items() if s not in ir.outs}
-        body = _cse_pass(ir.body, plain)
-        body = _dte_pass(list(ir.head), body, list(ir.tail), plain, I)
-        after_text = "\n".join(ir.tail)
-        body, helpers = _lift_segments(body, I, after_text)
-        source = "\n".join(helpers + list(ir.head) + body + list(ir.tail))
-        return source + "\n", {}
-
-    def _bind(self, env: dict, ir: KernelIR, meta: dict) -> None:
-        env["_nj"] = _guarded_jit(self._jit)
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-DEFAULT_BACKEND = "numpy-opt"
-BACKEND_NAMES = ("numpy", "numpy-opt", "numba")
-
-_BACKENDS = {
-    "numpy": NumpyBackend(),
-    "numpy-opt": NumpyOptBackend(),
-    "numba": NumbaBackend(),
-}
-
-_warned_unknown: set = set()
-
-
-def resolve_backend(name) -> _SourceBackend:
-    """Backend instance for ``name`` (falls back to the default, with a
-    one-time warning, on unknown names — env typos must not abort a
-    run)."""
-    if not name:
-        name = DEFAULT_BACKEND
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        if name not in _warned_unknown:
-            _warned_unknown.add(name)
-            warnings.warn(
-                f"unknown jit backend {name!r}; using {DEFAULT_BACKEND}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        backend = _BACKENDS[DEFAULT_BACKEND]
-    return backend
-
-
-def available_backends() -> "tuple[str, ...]":
-    """Backends that will actually run (numba only when importable)."""
-    names = ["numpy", "numpy-opt"]
-    if _BACKENDS["numba"].available:
-        names.append("numba")
-    return tuple(names)
+            CODEGEN_METER.kernel_cache_misses += 1
+            CODEGEN_METER.kernel_compiles += 1
+            start = time.perf_counter()
+            source, meta = _lower(ir)
+            code = compile(source, "<recorded-program>", "exec")
+            CODEGEN_METER.compile_s += time.perf_counter() - start
+            kernel_cache.store(digest, code, meta)
+        if len(_MEMORY) >= 256:
+            _MEMORY.clear()
+        _MEMORY[ir.source] = (code, meta)
+    _bind(ir.env, ir, meta)
+    namespace: dict = {}
+    exec(code, ir.env, namespace)
+    return namespace["_rp"]

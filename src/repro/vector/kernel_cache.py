@@ -1,12 +1,12 @@
-"""Persistent on-disk kernel cache for the replay-JIT backends.
+"""Persistent on-disk kernel cache for the replay JIT's emitter.
 
 Compiled kernel code objects land under ``.repro_cache/kernels/``,
-keyed on (neutral source hash, backend name, backend cache version,
-repro version, Python minor version) — any of those changing simply
-misses, it never invalidates in place.  Payload layout::
+keyed on (neutral source hash, emitter cache version, repro version,
+Python minor version) — any of those changing simply misses, it never
+invalidates in place.  Payload layout::
 
     [4-byte little-endian CRC32 of the rest][pickle of
-        {"format", "digest", "backend", "code": marshal bytes, "meta"}]
+        {"format", "digest", "code": marshal bytes, "meta"}]
 
 Loads are corruption-tolerant in the same spirit as the PR 5 journal:
 a truncated file, a flipped bit, an unreadable pickle, or a foreign
@@ -49,15 +49,15 @@ def kernel_dir() -> Path:
     return cache_root() / "kernels"
 
 
-def digest(backend: str, cache_version: int, source: str) -> str:
-    """Stable identity of one (kernel, backend, toolchain) combination.
+def digest(cache_version: int, source: str) -> str:
+    """Stable identity of one (kernel, emitter, toolchain) combination.
 
     Python's minor version participates because ``marshal`` bytecode is
     not portable across interpreter versions.
     """
     key = (
         f"{_FORMAT}|{__version__}|py{sys.version_info[0]}."
-        f"{sys.version_info[1]}|{backend}|{cache_version}|{source}"
+        f"{sys.version_info[1]}|{cache_version}|{source}"
     )
     return hashlib.sha256(key.encode()).hexdigest()[:32]
 
@@ -110,7 +110,7 @@ def load(dig: str) -> "dict | None":
     return {"code": code, "meta": payload.get("meta") or {}}
 
 
-def store(dig: str, backend: str, code, meta: dict) -> None:
+def store(dig: str, code, meta: dict) -> None:
     """Atomically persist one compiled kernel; silent on OSError."""
     if not _enabled():
         return
@@ -119,7 +119,6 @@ def store(dig: str, backend: str, code, meta: dict) -> None:
             {
                 "format": _FORMAT,
                 "digest": dig,
-                "backend": backend,
                 "code": marshal.dumps(code),
                 "meta": meta,
             },

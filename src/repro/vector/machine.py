@@ -35,7 +35,7 @@ class MemModelClock:
     """Accumulated wall seconds spent inside the memory-latency model.
 
     Fed by every indexed-memory issue (both the generic entry and the
-    backend-specialized fast calls) so timing reports can split the
+    per-buffer entries of replay kernels) so timing reports can split the
     generated kernels' own compute from shared simulator work.
     """
 
@@ -197,19 +197,6 @@ class VectorMachine:
     #: after via ``attach_tracer``/``detach_tracer``.
     auto_trace = os.environ.get("REPRO_TRACE", "") not in ("", "0", "false")
 
-    #: Codegen backend for compiled replay kernels
-    #: (:mod:`repro.vector.backends`): ``numpy`` emits the neutral
-    #: source verbatim, ``numpy-opt`` (the default) runs the source
-    #: optimizer (CSE, dead-temporary elimination, scratch-arena
-    #: ``out=`` rewriting, guard fusion), ``numba`` lifts ALU segments
-    #: through ``@njit`` when numba is importable and falls back to
-    #: ``numpy-opt`` (metered) when it is not.  Every backend is
-    #: bit-identical in statistics, clock and stall attribution
-    #: (enforced by the conformance grid's backend axis and
-    #: ``repro bench --check``).  Set with ``--jit-backend`` or
-    #: ``REPRO_JIT_BACKEND`` (the env var reaches worker processes).
-    jit_backend = os.environ.get("REPRO_JIT_BACKEND", "") or "numpy-opt"
-
     def __init__(
         self,
         system: SystemConfig | None = None,
@@ -247,7 +234,7 @@ class VectorMachine:
         self._lane_arange: dict[int, np.ndarray] = {}
         # Last (buffer, lane list, address list) of a short indexed
         # batch (``_indexed_memory``); reused while the kernel gathers
-        # the same lanes (vectorized memory engine only).
+        # the same lanes.
         self._imem_memo = None
         # Per-prefix buffer-name sequences (``name_uid``): keeping the
         # sequence machine-local makes buffer names — and the prefetch
@@ -897,8 +884,8 @@ class VectorMachine:
         / ``access_batch_max`` calls, not the address-list preparation)
         is accumulated into :data:`MEM_MODEL_CLOCK` so timing reports
         can split generated-kernel compute from memory-model
-        simulation; the specialized per-buffer entries emitted by the
-        ``numpy-opt`` backend draw the same boundary.
+        simulation; the specialized per-buffer entries the replay
+        emitter generates draw the same boundary.
         """
         if not self.use_batched_memory:
             t0 = _pc()
@@ -923,10 +910,10 @@ class VectorMachine:
             # Short batches run the hierarchy's scalar engine, which
             # wants a plain list — build it directly instead of paying
             # two numpy ops plus a tolist round-trip.  Replay-loop
-            # kernels gather the same lane set every iteration, so with
-            # the vectorized memory engine on the last (buffer, lanes)
-            # -> addrs translation is kept and reused when it matches
-            # (pure address arithmetic; bit-identical either way).
+            # kernels gather the same lane set every iteration, so the
+            # last (buffer, lanes) -> addrs translation is kept and
+            # reused when it matches (pure address arithmetic;
+            # bit-identical either way).
             base = buf.base
             eb = buf.elem_bytes
             lanes = indices.tolist() if hasattr(indices, "tolist") else indices
@@ -938,8 +925,7 @@ class VectorMachine:
                     addrs = [base + i for i in lanes]
                 else:
                     addrs = [base + i * eb for i in lanes]
-                if self.mem.use_vectorized_memory:
-                    self._imem_memo = (buf, lanes, addrs)
+                self._imem_memo = (buf, lanes, addrs)
             t0 = _pc()
             worst = self.mem.access_batch_max(addrs, size_bytes, sid)
         else:

@@ -35,11 +35,12 @@ code.
 Captured programs live on per-pair objects, so the same block is
 captured again for every pair.  The kernel source is therefore emitted
 once per *block shape* (:class:`_Shape`: everything the emitter reads —
-op structure, inlined constants, slot layout, latencies, backend) and
-kept in a bounded table; every later capture of that shape only binds
-its own values (buffers, baked constants, stream ids, externals, the
-machine) into a fresh env and hands the shared source to the backend,
-whose memory and disk caches serve the code.
+op structure, inlined constants, slot layout, latencies) and kept in a
+bounded table; every later capture of that shape only binds its own
+values (buffers, baked constants, stream ids, externals, the machine)
+into a fresh env and hands the shared source to the emitter
+(:func:`repro.vector.backends.emit`), whose memory and disk caches
+serve the code.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from time import perf_counter as _pc
 
 from repro.errors import MachineError
-from repro.vector.backends import CODEGEN_METER, KernelIR, resolve_backend
+from repro.vector.backends import CODEGEN_METER, KernelIR, emit
 from repro.vector.machine import (
     _BINOPS,
     _CMPOPS,
@@ -120,14 +121,10 @@ class ReplayMeter:
             "memvec_pattern_misses": MEMVEC_METER.pattern_misses,
             "memvec_patterns_compiled": MEMVEC_METER.patterns_compiled,
             "memvec_pattern_declined": MEMVEC_METER.pattern_declined,
-            "memvec_vector_rows": MEMVEC_METER.vector_rows,
-            "backend": CODEGEN_METER.backend,
-            "backends": dict(CODEGEN_METER.backends),
             "kernel_cache_hits": CODEGEN_METER.kernel_cache_hits,
             "kernel_cache_misses": CODEGEN_METER.kernel_cache_misses,
             "kernel_compiles": CODEGEN_METER.kernel_compiles,
             "emissions": CODEGEN_METER.emissions,
-            "backend_fallbacks": CODEGEN_METER.backend_fallbacks,
             "compile_s": CODEGEN_METER.compile_s,
             "arena_bytes": ARENA.nbytes,
             "captures": self.captures,
@@ -142,17 +139,7 @@ class ReplayMeter:
         }
 
     def delta(self, before: dict) -> dict:
-        out = {}
-        for k, v in self.snapshot().items():
-            if isinstance(v, str):
-                out[k] = v
-            elif isinstance(v, dict):
-                prev = before.get(k, {})
-                d = {kk: vv - prev.get(kk, 0) for kk, vv in v.items()}
-                out[k] = {kk: vv for kk, vv in d.items() if vv}
-            else:
-                out[k] = v - before.get(k, 0)
-        return out
+        return {k: v - before.get(k, 0) for k, v in self.snapshot().items()}
 
     @property
     def hit_rate(self) -> float:
@@ -663,7 +650,7 @@ class Recorder:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-#: Emitted kernels by recording shape.  Bounded like the backends'
+#: Emitted kernels by recording shape.  Bounded like the emitter's
 #: in-memory kernel cache: cleared whole once it holds 256 shapes.
 _EMISSIONS: dict = {}
 
@@ -673,11 +660,10 @@ def _compile(rec: Recorder, out_slots: list[int]) -> "RecordedProgram":
 
     The source is emitted once per :class:`_Shape` (metered on
     ``CODEGEN_METER.emissions``); every capture binds its own values
-    into a fresh env and goes through ``backend.emit``, so kernel code
-    still comes from the backend's memory and disk caches.
+    into a fresh env and goes through :func:`emit`, so kernel code
+    still comes from the emitter's memory and disk caches.
     """
-    backend = resolve_backend(getattr(rec.machine, "jit_backend", None))
-    shape = _shape(rec, out_slots, backend.name)
+    shape = _shape(rec, out_slots)
     em = _EMISSIONS.get(shape)
     if em is None:
         em = _emit(shape)
@@ -687,9 +673,7 @@ def _compile(rec: Recorder, out_slots: list[int]) -> "RecordedProgram":
         _EMISSIONS[shape] = em
     ir = KernelIR(em.head, em.body, em.tail, em.bind(rec), em.temps,
                   outs=em.outs)
-    return RecordedProgram(
-        backend.emit(ir), len(shape.ops), ir.source, backend=backend.name
-    )
+    return RecordedProgram(emit(ir), len(shape.ops), ir.source)
 
 
 class _Shape(NamedTuple):
@@ -703,7 +687,6 @@ class _Shape(NamedTuple):
     stamps, and the machine's memory, QUETZAL unit and occupancy table.
     """
 
-    backend: str
     #: lat_vector_arith, lat_predicate, L1 load-to-use, lat_gather_base,
     #: lat_vector_load_extra.
     latencies: tuple
@@ -764,7 +747,7 @@ def _ext_bound(rec: Recorder, out_slots) -> int:
     return bound
 
 
-def _shape(rec: Recorder, out_slots, backend: str) -> _Shape:
+def _shape(rec: Recorder, out_slots) -> _Shape:
     sys_ = rec.machine.system
     used_as_pred = {op.get("p") for op in rec.ops}
     pall = frozenset(
@@ -777,7 +760,6 @@ def _shape(rec: Recorder, out_slots, backend: str) -> _Shape:
         data = None if slot in fixed else getattr(reg, "data", None)
         temps.append(None if data is None else (data.shape, data.dtype))
     return _Shape(
-        backend,
         (sys_.lat_vector_arith, sys_.lat_predicate, sys_.l1d.load_to_use,
          sys_.lat_gather_base, sys_.lat_vector_load_extra),
         tuple(_op_shape(op) for op in rec.ops),
@@ -1395,7 +1377,7 @@ def _emit(shape: _Shape) -> _Emission:
                 + ("," if len(rets) == 1 else "") + ")")
 
     # Non-escaping slots (not handed in, not handed back, not external)
-    # are the backend's to manage: the optimizer may retarget their
+    # are the emitter's to manage: the optimizer may retarget their
     # computes into arena scratch storage.  Escaping slots keep their
     # freshly allocated arrays — callers hold them across kernel calls.
     temps = {}
@@ -1517,13 +1499,12 @@ def _warn_replay_without_batched() -> None:
 class RecordedProgram:
     """A compiled straight-line block: one call replays the whole trace."""
 
-    __slots__ = ("_fn", "n_ops", "source", "backend")
+    __slots__ = ("_fn", "n_ops", "source")
 
-    def __init__(self, fn, n_ops: int, source: str, backend="numpy") -> None:
+    def __init__(self, fn, n_ops: int, source: str) -> None:
         self._fn = fn
         self.n_ops = n_ops
         self.source = source
-        self.backend = backend
 
     def replay(self, machine, regs=(), scalars=()):
         """Run the compiled block; ``None`` means the program declined

@@ -126,13 +126,13 @@ class TestProfileBench:
 
 
 class TestDimensionGates:
-    def test_memvec_dimension_is_speed_gated(self):
+    def test_replay_dimension_is_speed_gated(self):
         report = {
             "workloads": {
-                "memvec_gather": {
+                "replay_ss": {
                     "reps": 1, "serial_s": 0.1, "batched_s": 0.2,
                     "speedup": 0.5, "stats_identical": True,
-                    "dimension": "memvec",
+                    "dimension": "replay",
                 },
             }
         }

@@ -37,37 +37,50 @@ run across two worker processes must reproduce the all-off serial run
 of the same plan, on both batch kinds.  The whole-batch plan is the one
 the figure commands run.
 
-The codegen backends add a fourth axis: with replay and batched memory
-on, every registered backend name in
+The replay JIT's kernel source adds a fourth axis: with replay and
+batched memory on, every cell of
 
-    {numpy, numpy-opt, numba} x {jobs 1/2}
+    {compiled, disk, corrupt} x {jobs 1/2}
 
-must reproduce the baseline on both batch kinds (the standard batch
-and the divergence-heavy one); the pooled cells run every backend's
-generated code inside forked workers too.  The ``numba`` cells
-run even when numba is not importable — the documented behaviour is a
-metered fallback to ``numpy-opt``, so with the dependency absent those
-cells double as proof that the fallback is bit-exact.
+must reproduce the baseline on both batch kinds.  ``compiled`` starts
+from empty kernel caches, so every kernel is lowered and compiled;
+``disk`` starts like a new process over a warm on-disk kernel cache, so
+every kernel is loaded from its marshalled file; ``corrupt`` is the
+same with one bit of every kernel file flipped, so every load is
+rejected and the kernel recompiled.  The pooled cells run the kernels
+in forked workers, which start from the parent's emptied caches and
+share its disk directory.
 
-The vectorized memory-model engine adds a fifth axis: every cell of
+The vector length adds a fifth axis: every cell of
 
-    {use_vectorized_memory} x {use_batched_memory} x {jobs 1/2}
+    {256, 1024 bits} x {use_batched_memory} x {use_replay} x {jobs 1/2}
 
-with replay on must reproduce the baseline on both batch kinds — the
-memvec engines (pattern memoization, phase-split retirement) sit
-underneath the batched hierarchy paths, so that is the axis that can
-disturb them; the pooled cells run the memvec engines inside forked
-workers too.
+must reproduce the all-off serial baseline at the same vector length,
+on the divergent batch.  The lane count changes every recorded block's
+shape, so the replay kernels, the memory batches and the pattern
+memoization all see shapes the 512-bit grids never produce; the pooled
+cells prove the length travels with each work unit.  The plain vector
+families run this axis: the QUETZAL families stage sequences in
+QBUFFERs sized for 512-bit vectors, and the anti-diagonal DP kernels
+(``ksw-vec``, ``ksw-qz``) diverge from their reference at 256 bits.
 
 The alignment service adds a sixth axis: every cell of
 
-    {one batch, one batch per request} x {jit backend numpy/numpy-opt}
+    {one batch, one batch per request} x {inline, persistent worker}
 
 executed through the serve engine (parsed requests, the production
 serve toggles: replay + batched memory on) must produce response
 records byte-identical to the ones derived from the all-off interpreted
 serial baseline, on both batch kinds.  Each pair runs on its own fresh
-machine, so a response must not depend on what it was batched with.
+machine, so a response must not depend on what it was batched with, nor
+on whether it ran in the server's process or on the worker process
+``repro serve`` starts by default.
+
+The replay JIT has one kernel emitter and the memory model one batched
+engine (pattern memoization in front of the scalar walk, always on), so
+neither needs a switch axis: every replay cell of the base and
+divergent grids runs the emitter with memoization on, under
+{use_batched_memory} x {jobs 1/2}, on both batch kinds.
 
 All cells outside the shard axis (including the baseline) run
 ``shard_size=1`` so the shard plan — the unit of determinism — is
@@ -77,18 +90,20 @@ start method so that the monkeypatched class toggles reach the
 workers; they are skipped where only spawn exists.
 """
 
+import contextlib
 import itertools
 import multiprocessing
 
 import pytest
 
 from repro.align.quetzal_impl import BiwfaQzc, KswQz, WfaQz
-from repro.align.vectorized import SsVec, WfaVec
+from repro.align.vectorized import BiwfaVec, SsVec, WfaVec
+from repro.cache import CALIBRATION
+from repro.config import SystemConfig
 from repro.eval import records
 from repro.eval.runner import run_implementation
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.genomics.generator import ErrorProfile, ReadPairGenerator
-from repro.vector.backends import BACKEND_NAMES
+from repro.vector import backends, kernel_cache, program
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER
 
@@ -131,14 +146,14 @@ def assert_meter_conserved():
 
 
 def run_cell(impl_cls, batch, use_batched_memory, use_replay, trace, jobs,
-             shard_size=1):
+             shard_size=1, system=None):
     """One grid cell, with the toggles as class state.
 
     Class attributes (not instance state) are what worker processes
     inherit under fork, so this exercises exactly the production
     propagation path; ``auto_trace`` mirrors the ``REPRO_TRACE``
     environment knob.  The default ``shard_size=1`` puts every pair on
-    a fresh machine.
+    a fresh machine; ``system=None`` is the default system.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VectorMachine, "use_batched_memory", use_batched_memory)
@@ -146,7 +161,8 @@ def run_cell(impl_cls, batch, use_batched_memory, use_replay, trace, jobs,
         mp.setattr(VectorMachine, "auto_trace", trace)
         sig = signature(
             run_implementation(
-                impl_cls(), batch, jobs=jobs, shard_size=shard_size
+                impl_cls(), batch, system=system, jobs=jobs,
+                shard_size=shard_size,
             )
         )
         assert_meter_conserved()
@@ -276,71 +292,147 @@ def test_shard_cell_matches_baseline(name, cell, kind):
     assert_matches(got, expected)
 
 
-#: (jit backend, jobs) — replay + batched memory on throughout.  The
-#: backend choice is class state that forked workers inherit, so the
-#: pooled cells run each backend's kernels inside the workers.
-BACKEND_GRID = list(itertools.product(BACKEND_NAMES, (1, 2)))
+#: (kernel source, jobs) — replay + batched memory on throughout.
+KERNEL_GRID = list(itertools.product(("compiled", "disk", "corrupt"), (1, 2)))
 
 
-def backend_cell_id(cell):
+def _empty_kernel_caches():
+    """Drop both in-process kernel caches, as a new process starts."""
+    backends._MEMORY.clear()
+    program._EMISSIONS.clear()
+
+
+@contextlib.contextmanager
+def kernel_source(source, directory, prime):
+    """Put the kernel caches in the state ``source`` names.
+
+    ``prime`` runs the cell once (with empty in-process caches, so every
+    kernel is compiled and stored) to warm the disk cache under
+    ``directory``.  The disk switch and both in-process caches are
+    restored afterwards.
+    """
+    saved = (
+        CALIBRATION.directory, dict(backends._MEMORY), dict(program._EMISSIONS)
+    )
+    try:
+        _empty_kernel_caches()
+        if source == "compiled":
+            CALIBRATION.disable_disk()
+        else:
+            CALIBRATION.enable_disk(directory)
+            prime()
+            files = sorted(kernel_cache.kernel_dir().glob("k-*.bin"))
+            assert files, "priming stored no kernel files"
+            if source == "corrupt":
+                for path in files:
+                    raw = bytearray(path.read_bytes())
+                    raw[len(raw) // 2] ^= 0x01
+                    path.write_bytes(bytes(raw))
+            _empty_kernel_caches()
+        yield
+    finally:
+        CALIBRATION.directory = saved[0]
+        backends._MEMORY.clear()
+        backends._MEMORY.update(saved[1])
+        program._EMISSIONS.clear()
+        program._EMISSIONS.update(saved[2])
+
+
+def kernel_cell_id(cell):
     return f"{cell[0]}-j{cell[1]}"
 
 
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
 @pytest.mark.parametrize("name", sorted(IMPLS))
-@pytest.mark.parametrize("cell", BACKEND_GRID, ids=backend_cell_id)
-def test_backend_cell_matches_baseline(name, cell, kind):
-    backend, jobs = cell
+@pytest.mark.parametrize("cell", KERNEL_GRID, ids=kernel_cell_id)
+def test_kernel_cell_matches_baseline(tmp_path, name, cell, kind):
+    source, jobs = cell
     if jobs > 1 and not HAS_FORK:
         pytest.skip("pooled cells need the fork start method")
     expected = kind_baseline_for(name, kind)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(VectorMachine, "jit_backend", backend)
-        got = run_cell(
-            IMPLS[name], _kind_batches[(name, kind)], True, True, False, jobs,
-        )
+    batch = _kind_batches[(name, kind)]
+
+    def run(jobs):
+        return run_cell(IMPLS[name], batch, True, True, False, jobs)
+
+    with kernel_source(source, tmp_path / "cache", lambda: run(1)):
+        if source == "corrupt" and jobs == 1:
+            with pytest.warns(RuntimeWarning, match="recompiling"):
+                got = run(jobs)
+        else:
+            got = run(jobs)
+        meter = REPLAY_METER.snapshot()
     assert_matches(got, expected)
+    if jobs == 1:
+        # Pooled cells meter in their workers; the serial ones prove
+        # the kernels really came from the source the cell names.
+        if source == "disk":
+            assert meter["kernel_compiles"] == 0
+            assert meter["kernel_cache_hits"] > 0
+        else:
+            assert meter["kernel_compiles"] > 0
 
 
-#: (use_vectorized_memory, use_batched_memory, jobs) — replay on
-#: throughout: the memvec engines sit underneath the batched hierarchy
-#: paths, so that is the axis that can disturb them; the pooled cells
-#: run the memvec engines inside forked workers, which inherit the
-#: toggle from ``MemoryHierarchy`` rather than ``VectorMachine``.
-MEMVEC_GRID = list(itertools.product((False, True), (False, True), (1, 2)))
+#: The vector-length axis: its lengths, families, and
+#: (vlen_bits, use_batched_memory, use_replay, jobs) cells.
+VLENS = (256, 1024)
+VLEN_IMPLS = {"wfa-vec": WfaVec, "ss-vec": SsVec, "biwfa-vec": BiwfaVec}
+VLEN_GRID = list(itertools.product(VLENS, (False, True), (False, True), (1, 2)))
+
+_vlen_baselines: dict = {}
 
 
-def memvec_cell_id(cell):
+def vlen_baseline_for(name, vlen):
+    """All-off serial reference of the divergent batch at ``vlen`` bits."""
+    key = (name, vlen)
+    if key not in _vlen_baselines:
+        _vlen_baselines[key] = run_cell(
+            VLEN_IMPLS[name], divergent_pairs(), *BASELINE,
+            system=SystemConfig(vlen_bits=vlen),
+        )
+    return _vlen_baselines[key]
+
+
+def vlen_cell_id(cell):
     return (
-        f"{'memvec' if cell[0] else 'serialwalk'}-"
-        f"{'batched' if cell[1] else 'serialmem'}-j{cell[2]}"
+        f"v{cell[0]}-"
+        f"{'batched' if cell[1] else 'serialmem'}-"
+        f"{'replay' if cell[2] else 'interp'}-j{cell[3]}"
     )
 
 
-@pytest.mark.parametrize("kind", ("standard", "divergent"))
-@pytest.mark.parametrize("name", sorted(IMPLS))
-@pytest.mark.parametrize("cell", MEMVEC_GRID, ids=memvec_cell_id)
-def test_memvec_cell_matches_baseline(name, cell, kind):
-    memvec, batched, jobs = cell
+@pytest.mark.parametrize("name", sorted(VLEN_IMPLS))
+@pytest.mark.parametrize("cell", VLEN_GRID, ids=vlen_cell_id)
+def test_vlen_cell_matches_baseline(name, cell):
+    vlen, batched, replay, jobs = cell
     if jobs > 1 and not HAS_FORK:
         pytest.skip("pooled cells need the fork start method")
-    expected = kind_baseline_for(name, kind)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MemoryHierarchy, "use_vectorized_memory", memvec)
-        got = run_cell(
-            IMPLS[name], _kind_batches[(name, kind)], batched, True, False,
-            jobs,
-        )
+    expected = vlen_baseline_for(name, vlen)
+    got = run_cell(
+        VLEN_IMPLS[name], divergent_pairs(), batched, replay, False, jobs,
+        system=SystemConfig(vlen_bits=vlen),
+    )
     assert_matches(got, expected)
 
 
-#: (batching, jit backend) — the serve axis: the alignment service's
-#: compute path (AlignRequest -> ServeEngine -> per-request response
-#: records) must land byte-for-byte on the same per-pair results as the
-#: all-off interpreted serial baseline, with replay and batched memory
-#: on — the production serve configuration — under each generated-code
-#: backend, whether the requests arrive as one batch or one batch each.
-SERVE_GRID = list(itertools.product(("batch", "single"), ("numpy", "numpy-opt")))
+@pytest.mark.parametrize("vlen", VLENS)
+@pytest.mark.parametrize("name", sorted(VLEN_IMPLS))
+def test_vlen_baseline_is_nontrivial(name, vlen):
+    """A vector-length cell proves nothing if the length never reaches
+    the machine: its reference must differ from the 512-bit one."""
+    sig = vlen_baseline_for(name, vlen)
+    assert all(c > 0 for c in sig[0])
+    assert sig[0] != vlen_baseline_for(name, 512)[0]
+
+
+#: (batching, workers) — the serve axis: the alignment service's compute
+#: path (AlignRequest -> ServeEngine -> per-request response records)
+#: must land byte-for-byte on the same per-pair results as the all-off
+#: interpreted serial baseline, with replay and batched memory on — the
+#: production serve configuration — whether the requests arrive as one
+#: batch or one batch each, and whether they run inline (``workers=0``)
+#: or on the persistent worker process (``workers=1``, the default).
+SERVE_GRID = list(itertools.product(("batch", "single"), (0, 1)))
 
 
 def serve_requests(name, kind):
@@ -389,7 +481,7 @@ def serve_expected_lines(name, kind):
 
 
 def serve_cell_id(cell):
-    return f"{cell[0]}-{cell[1]}"
+    return f"{cell[0]}-{'worker' if cell[1] else 'inline'}"
 
 
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
@@ -399,25 +491,30 @@ def test_serve_cell_matches_baseline(name, cell, kind):
     from repro.serve.engine import ServeEngine, ServeEngineConfig
     from repro.serve.protocol import canonical_encode
 
-    batching, backend = cell
+    batching, workers = cell
     expected = kind_baseline_for(name, kind)
     expected_lines = serve_expected_lines(name, kind)
     requests = serve_requests(name, kind)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(VectorMachine, "jit_backend", backend)
         mp.setattr(VectorMachine, "use_batched_memory", True)
         mp.setattr(VectorMachine, "use_replay", True)
-        engine = ServeEngine(ServeEngineConfig(workers=0))
-        if batching == "batch":
-            responses = engine.execute_batch(requests)
-        else:
-            responses = [
-                response
-                for request in requests
-                for response in engine.execute_batch([request])
-            ]
-        assert_meter_conserved()
+        engine = ServeEngine(ServeEngineConfig(workers=workers))
+        try:
+            if batching == "batch":
+                responses = engine.execute_batch(requests)
+            else:
+                responses = [
+                    response
+                    for request in requests
+                    for response in engine.execute_batch([request])
+                ]
+        finally:
+            engine.close()
+        if not workers:
+            # A worker's meters stay in its own process.
+            assert_meter_conserved()
     assert engine.errors == 0
+    assert engine.worker_starts == workers
     assert all(r["status"] == "ok" for r in responses)
     # Byte identity per request against the interpreted serial baseline.
     got_lines = [canonical_encode(r) for r in responses]

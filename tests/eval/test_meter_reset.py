@@ -27,8 +27,7 @@ COUNT_KEYS = (
     "captures", "replayed_blocks", "interpreted_blocks", "broken",
     "total_blocks", "replayed_instructions", "interpreted_instructions",
     "kernel_cache_hits", "kernel_cache_misses", "kernel_compiles",
-    "emissions", "backend_fallbacks", "memvec_pattern_hits",
-    "memvec_pattern_misses",
+    "emissions", "memvec_pattern_hits", "memvec_pattern_misses",
 )
 
 

@@ -1,16 +1,16 @@
-"""Property-based tests for the vectorized memory-model engine.
+"""Property-based tests for the memory model's pattern memoization.
 
 Two identity contracts, checked over randomized address streams
 (strided, random gathers, duplicate-heavy, line-straddling) and
 hierarchy configurations:
 
-* **Exact identity memvec-on vs memvec-off**: with
-  ``MemoryHierarchy.use_vectorized_memory`` flipped, *every* piece of
-  internal state must match bit for bit — per-request latencies,
-  statistics, tag arrays, LRU timestamps, the LRU clock, prefetched
-  flags, slot maps, prefetcher stream tables and issued counts.  The
-  engine replaces the walk; it may not even reorder invisible
-  bookkeeping.
+* **Exact identity memo-on vs memo-off**: a hierarchy whose batches may
+  replay memoized patterns (:mod:`repro.memory.memvec`) against one
+  that always walks (:class:`Walking`).  *Every* piece of internal
+  state must match bit for bit — per-request latencies, statistics,
+  tag arrays, LRU timestamps, the LRU clock, prefetched flags, slot
+  maps, prefetcher stream tables and issued counts.  A replay replaces
+  the walk; it may not even reorder invisible bookkeeping.
 
 * **Soft identity vs the serial reference walk**: ``access_batch``
   legitimately collapses consecutive same-line repeats to counter-only
@@ -26,7 +26,6 @@ interleaved — replays must keep declining-or-agreeing, never desyncing
 the two engines.
 """
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip(
@@ -35,6 +34,7 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.config import CacheConfig, SystemConfig
+from repro.memory import memvec
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.memvec import MEMVEC_METER
 
@@ -154,12 +154,23 @@ def soft_state(mem):
     )
 
 
+class Walking(MemoryHierarchy):
+    """A hierarchy whose batches always walk: for the duration of each
+    call a test fake of :func:`memvec.replay_batch` reports a first
+    sighting (:data:`memvec.SEEN`), which commits nothing."""
+
+    def access_batch(self, *args):
+        real = memvec.replay_batch
+        memvec.replay_batch = lambda *_: memvec.SEEN
+        try:
+            return super().access_batch(*args)
+        finally:
+            memvec.replay_batch = real
+
+
 def pair(system):
-    on = MemoryHierarchy(system)
-    off = MemoryHierarchy(system)
-    on.use_vectorized_memory = True
-    off.use_vectorized_memory = False
-    return on, off
+    """(memo-on hierarchy, memo-off hierarchy) over the same system."""
+    return MemoryHierarchy(system), Walking(system)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +209,7 @@ def test_repeating_patterns_replay_identically(
 ):
     """Drive the same delta stream through a small base rotation until
     the pattern layer compiles and replays it; every lap must stay in
-    exact lockstep with the memvec-off engine."""
+    exact lockstep with the memo-off walk."""
     on, off = pair(system)
     MEMVEC_METER.reset()
     for lap in range(laps):
@@ -256,8 +267,8 @@ def test_memoization_survives_invalidating_interleaves(
     system=hier_config,
 )
 def test_line_straddling_streams_stay_identical(addrs, size, system):
-    """Multi-line spans force the scalar walk inside both engines (and
-    mark rows dirty in the phase engine); identity must hold."""
+    """Multi-line spans force the scalar walk on both sides; identity
+    must hold."""
     on, off = pair(system)
     serial = MemoryHierarchy(system)
     got_on = on.access_batch(addrs, size, 0)
@@ -268,48 +279,18 @@ def test_line_straddling_streams_stay_identical(addrs, size, system):
     assert soft_state(on) == soft_state(serial)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    start=base_addr,
-    stride=st.sampled_from([1, 2, 8]),
-    n=st.integers(min_value=80, max_value=400),
-    system=hier_config,
-)
-def test_phase_engine_large_batches_match(start, stride, n, system):
-    """Batches past _SCALAR_BATCH_MAX take the phase-split engine when
-    memvec is on; the full internal state must match the off engine."""
-    on, off = pair(system)
-    addrs = np.asarray(
-        [(start + i * stride) % MAX_ADDR for i in range(n)], dtype=np.int64
-    )
-    # Two passes: the second finds most lines resident, exercising the
-    # clean-run vectorized commit rather than the dirty chunks.
-    for _ in range(2):
-        assert (
-            on.access_batch(addrs, 8, 5).tolist()
-            == off.access_batch(addrs, 8, 5).tolist()
-        )
-        assert hard_state(on) == hard_state(off)
-
-
 def test_replay_actually_fires():
-    """Meta-test: the suite above is vacuous if patterns never replay;
+    """Meta-test: the suite above is vacuous if patterns never replay
+    on the memo-on side, or if they replay on the memo-off side too;
     pin a shape that must hit the closed-form path."""
     system = tiny_system()
-    on, _ = pair(system)
-    MEMVEC_METER.reset()
+    on, off = pair(system)
     addrs = [128 + 2 * i for i in range(16)]
+    MEMVEC_METER.reset()
+    for _ in range(4):
+        off.access_batch(addrs, 8, 7)
+    assert not any(MEMVEC_METER.snapshot().values())
     for _ in range(4):
         on.access_batch(addrs, 8, 7)
     assert MEMVEC_METER.patterns_compiled >= 1
     assert MEMVEC_METER.pattern_hits >= 1
-
-
-def test_vector_phase_actually_fires():
-    system = tiny_system()
-    on, _ = pair(system)
-    MEMVEC_METER.reset()
-    addrs = np.arange(0, 8 * 300, 8, dtype=np.int64)
-    on.access_batch(addrs, 8, 9)
-    on.access_batch(addrs, 8, 9)
-    assert MEMVEC_METER.vector_rows > 0

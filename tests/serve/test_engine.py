@@ -153,7 +153,7 @@ def test_toggle_change_replaces_the_worker(expected, monkeypatch):
     try:
         batches = make_batches()
         engine.execute_batch(batches[0])
-        monkeypatch.setattr(VectorMachine, "jit_backend", "numpy")
+        monkeypatch.setattr(VectorMachine, "use_replay", False)
         for batch in batches[1:]:
             for record in engine.execute_batch(batch):
                 assert canonical_encode(record) == expected[record["id"]]

@@ -4,16 +4,18 @@ identically to the batch path.
 Each cell starts a real asyncio server on a unix socket, drives it with
 the open-loop client, and compares every response line byte-for-byte
 against :func:`repro.serve.client.batch_reference_records` (the batch-
-CLI-equivalent answer, one fresh machine per pair).  The grid crosses
+CLI-equivalent answer, one fresh machine per pair).  The grid runs
 
-    {max_batch 1/4} x {jit backend numpy/numpy-opt}
+    {max_batch 1/4} x {vlen_bits default/256}
 
 on a standard batch and on a divergence-heavy batch (mixed lengths and
 error rates), with the request stream
 mixing two implementations and two tenants — the coalescer must keep
 the configurations apart while the identity holds per request, and
 since every pair runs on its own fresh machine, no response may depend
-on how many requests were coalesced with it.
+on how many requests were coalesced with it.  The 256-bit cells send
+every request with ``vlen_bits`` set, so the request's vector length
+must reach the machine that answers it.
 
 The grid runs inline (``workers=0``).  The worker cells run the path
 ``repro serve`` takes by default: one persistent worker process
@@ -26,7 +28,6 @@ sent, across coalesced batches and implementations.
 """
 
 import asyncio
-import itertools
 
 import pytest
 
@@ -35,11 +36,11 @@ from repro.serve.client import batch_reference_records, open_loop
 from repro.serve.engine import ServeEngineConfig
 from repro.serve.protocol import AlignRequest
 from repro.serve.server import AlignmentServer, ServeConfig
-from repro.vector.machine import VectorMachine
 
-#: (max_batch, jit backend) — the service must be batch-size- and
-#: backend-invariant, byte for byte.
-GRID = list(itertools.product((1, 4), ("numpy", "numpy-opt")))
+#: max_batch — the service must be batch-size-invariant, byte for byte.
+GRID = (1, 4)
+#: Request vector lengths: ``None`` is the default system's.
+VLENS = (None, 256)
 
 
 def standard_pairs():
@@ -64,8 +65,9 @@ def divergent_pairs():
 MIXED_IMPLS = ("wfa-vec", "ss-vec", "biwfa-vec", "ksw-qz")
 
 
-def make_requests(kind):
-    """Alternating implementations and tenants over one batch."""
+def make_requests(kind, vlen=None):
+    """Alternating implementations and tenants over one batch, every
+    request at vector length ``vlen`` (``None``: the default)."""
     if kind == "mixed":
         return mixed_requests()
     batch = standard_pairs() if kind == "standard" else divergent_pairs()
@@ -76,6 +78,7 @@ def make_requests(kind):
             impl=("ss-vec", "wfa-vec")[i % 2],
             pattern=str(pair.pattern),
             text=str(pair.text),
+            vlen_bits=vlen,
         )
         for i, pair in enumerate(batch)
     ]
@@ -99,13 +102,14 @@ def mixed_requests(count=40):
 _references: dict = {}
 
 
-def reference_for(kind):
-    """Batch reference lines, computed once per batch kind (responses
-    are batch-size- and backend-invariant — the grid cells prove exactly
-    that by all comparing against this one reference)."""
-    if kind not in _references:
-        _references[kind] = batch_reference_records(make_requests(kind))
-    return _references[kind]
+def reference_for(kind, vlen=None):
+    """Batch reference lines, computed once per batch kind and vector
+    length (responses are batch-size-invariant — the grid cells prove
+    exactly that by all comparing against this one reference)."""
+    key = (kind, vlen)
+    if key not in _references:
+        _references[key] = batch_reference_records(make_requests(kind, vlen))
+    return _references[key]
 
 
 def run_server(requests, sock, rate=500.0, **config_overrides):
@@ -132,17 +136,18 @@ def run_server(requests, sock, rate=500.0, **config_overrides):
     return asyncio.run(go())
 
 
-def cell_id(cell):
-    return f"max_batch{cell[0]}-{cell[1]}"
-
-
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
-@pytest.mark.parametrize("cell", GRID, ids=cell_id)
-def test_server_matches_batch_byte_for_byte(tmp_path, monkeypatch, kind, cell):
-    max_batch, backend = cell
-    monkeypatch.setattr(VectorMachine, "jit_backend", backend)
-    requests = make_requests(kind)
-    expected = reference_for(kind)
+@pytest.mark.parametrize(
+    "vlen", VLENS, ids=lambda v: "vdefault" if v is None else f"v{v}"
+)
+@pytest.mark.parametrize("max_batch", GRID, ids=lambda n: f"max_batch{n}")
+def test_server_matches_batch_byte_for_byte(tmp_path, kind, vlen, max_batch):
+    requests = make_requests(kind, vlen)
+    expected = reference_for(kind, vlen)
+    if vlen is not None:
+        # The reference must depend on the vector length, or these
+        # cells would pass with the field ignored end to end.
+        assert expected != reference_for(kind)
     report, counters = run_server(
         requests, str(tmp_path / "serve.sock"), max_batch=max_batch
     )

@@ -351,7 +351,7 @@ class TestServeCommand:
         for flag in (
             "--unix", "--port", "--stdio", "--max-batch", "--max-wait",
             "--rate", "--burst", "--max-pending", "--workers",
-            "--journal", "--fault-plan", "--smoke", "--jit-backend",
+            "--journal", "--fault-plan", "--smoke", "--no-replay",
         ):
             assert flag in out
 

@@ -1,10 +1,11 @@
-"""Codegen-backend tests: identity across backends, the persistent
-kernel cache, the numba fallback ladder, and the optimizer passes.
+"""Replay-emitter tests: identity with the interpreter, the persistent
+kernel cache, and the optimizer passes.
 
-The identity contract mirrors ``test_program``: for every registered
-backend, a replayed run must be *bit-identical* to the interpreter —
+The identity contract mirrors ``test_program``: a run replayed through
+the emitted kernels must be *bit-identical* to the interpreter —
 register values, ``MachineStats``, the clock, and the tracer event
-totals.  On top of that this module pins the cache behaviour (warm hits
+totals — whether the kernels were just compiled or loaded from the
+disk cache.  On top of that this module pins the cache behaviour (warm hits
 with zero recompiles, corruption tolerance) and the arena's zero-alloc
 steady state, which are performance contracts the bench harness relies
 on but the end-to-end suites never observe directly.
@@ -21,21 +22,15 @@ from hypothesis import strategies as st
 
 from repro.cache import CALIBRATION
 from repro.config import SystemConfig
-from repro.vector import kernel_cache, program
+from repro.vector import backends, kernel_cache, program
 from repro.vector.backends import (
     ARENA,
     CODEGEN_METER,
-    DEFAULT_BACKEND,
-    NumbaBackend,
-    _BACKENDS,
     _fast_imem,
     _fuse_ctz,
-    _guarded_jit,
     _helpers_env,
     _make_fast_imem,
     _share_tolist,
-    available_backends,
-    resolve_backend,
 )
 from repro.vector.machine import VectorMachine, _ctz_values
 from repro.vector.program import ReplaySession
@@ -63,22 +58,19 @@ def _seed_state(m):
     return st
 
 
-def run_session(body_factory, backend, iters=5, loop=False,
+def run_session(body_factory, replay, iters=5, loop=False,
                 make=fresh_machine):
     """Drive ``body_factory(buf) -> body(mm, st)`` through a
-    :class:`ReplaySession`; ``backend=None`` means pure interpretation.
-    ``make`` builds the machine and the argument handed to
-    ``body_factory`` (default: the shared byte buffer).
+    :class:`ReplaySession`, replayed or (``replay=False``) purely
+    interpreted.  ``make`` builds the machine and the argument handed
+    to ``body_factory`` (default: the shared byte buffer).
 
     Returns (clock, max_complete, stats snapshot, register values,
     tracer totals) — everything the identity contract covers.
     """
     m, buf = make()
     tracer = m.attach_tracer(capacity=8192)
-    if backend is None:
-        m.use_replay = False
-    else:
-        m.jit_backend = backend
+    m.use_replay = replay
     st = _seed_state(m)
     session = ReplaySession(m, body_factory(buf))
     for _ in range(iters):
@@ -101,14 +93,14 @@ def run_session(body_factory, backend, iters=5, loop=False,
     return m.clock, m._max_complete, m.snapshot(), values, totals
 
 
-def assert_backend_identical(body_factory, backend, iters=5, loop=False):
-    interp = run_session(body_factory, None, iters=iters, loop=loop)
-    replay = run_session(body_factory, backend, iters=iters, loop=loop)
-    assert interp[0] == replay[0], f"[{backend}] clock diverged"
-    assert interp[1] == replay[1], f"[{backend}] _max_complete diverged"
-    assert interp[2] == replay[2], f"[{backend}] MachineStats diverged"
-    assert interp[3] == replay[3], f"[{backend}] register values diverged"
-    assert interp[4] == replay[4], f"[{backend}] tracer totals diverged"
+def assert_replay_identical(body_factory, iters=5, loop=False):
+    interp = run_session(body_factory, False, iters=iters, loop=loop)
+    replay = run_session(body_factory, True, iters=iters, loop=loop)
+    assert interp[0] == replay[0], "clock diverged"
+    assert interp[1] == replay[1], "_max_complete diverged"
+    assert interp[2] == replay[2], "MachineStats diverged"
+    assert interp[3] == replay[3], "register values diverged"
+    assert interp[4] == replay[4], "tracer totals diverged"
 
 
 # ----------------------------------------------------------------------
@@ -140,23 +132,37 @@ def _loop_body(buf):
 
 
 # ----------------------------------------------------------------------
-# Identity across every registered backend
+# Identity with the interpreter
 # ----------------------------------------------------------------------
-class TestBackendIdentity:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_gather_block(self, backend):
-        assert_backend_identical(_gather_body, backend, iters=6)
+def assert_identical_from(source, body_factory, **kw):
+    """:func:`assert_replay_identical` with the replayed run's kernels
+    from ``source``: ``compiled`` (empty caches, disk off: every kernel
+    is lowered and compiled) or ``disk`` (a new process over a warm
+    disk cache: every kernel is loaded, none compiled).  Needs the
+    ``disk_cache`` fixture."""
+    backends._MEMORY.clear()
+    if source == "compiled":
+        CALIBRATION.disable_disk()
+    else:
+        run_session(body_factory, True, **kw)  # compile and store
+        backends._MEMORY.clear()
+    hits0 = CODEGEN_METER.kernel_cache_hits
+    compiles0 = CODEGEN_METER.kernel_compiles
+    assert_replay_identical(body_factory, **kw)
+    if source == "compiled":
+        assert CODEGEN_METER.kernel_compiles > compiles0
+    else:
+        assert CODEGEN_METER.kernel_compiles == compiles0
+        assert CODEGEN_METER.kernel_cache_hits > hits0
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_carried_predicate_loop(self, backend):
-        assert_backend_identical(_loop_body, backend, iters=4, loop=True)
 
-    def test_unknown_backend_warns_and_uses_default(self):
-        with pytest.warns(RuntimeWarning, match="unknown jit backend"):
-            backend = resolve_backend("no-such-backend")
-        assert backend is _BACKENDS[DEFAULT_BACKEND]
-        # One-time warning: resolving again is silent.
-        assert resolve_backend("no-such-backend") is backend
+@pytest.mark.parametrize("source", ("compiled", "disk"))
+class TestEmitterIdentity:
+    def test_gather_block(self, disk_cache, source):
+        assert_identical_from(source, _gather_body, iters=6)
+
+    def test_carried_predicate_loop(self, disk_cache, source):
+        assert_identical_from(source, _loop_body, iters=4, loop=True)
 
 
 def _plan_body(plan, scalar=3, sid=None):
@@ -210,15 +216,13 @@ _OP = st.tuples(
 )
 
 
-class TestRandomProgramsAcrossBackends:
+class TestRandomPrograms:
     @settings(max_examples=12, deadline=None)
     @given(st.lists(_OP, min_size=3, max_size=12))
-    def test_every_backend_matches_the_interpreter(self, plan):
+    def test_replay_matches_the_interpreter(self, plan):
         factory = _plan_body(plan)
-        interp = run_session(factory, None, iters=4)
-        for backend in available_backends():
-            replay = run_session(factory, backend, iters=4)
-            assert interp == replay, f"backend {backend} diverged"
+        interp = run_session(factory, False, iters=4)
+        assert run_session(factory, True, iters=4) == interp
 
 
 # ----------------------------------------------------------------------
@@ -281,22 +285,19 @@ class TestEmissionTable:
     @given(st.lists(_OP, min_size=3, max_size=10), _INSTANCE, _INSTANCE)
     def test_equal_shapes_share_one_emission(self, plan, first, second):
         program._EMISSIONS.clear()
-        for backend in available_backends():
-            before = CODEGEN_METER.emissions
-            for values in (first, second):
-                scalar, sid, make = _instance(*values)
-                factory = _instance_factory(plan, scalar, sid)
-                interp = run_session(factory, None, iters=4, make=make)
-                replay = run_session(factory, backend, iters=4, make=make)
-                assert interp == replay, f"backend {backend} diverged"
-            assert CODEGEN_METER.emissions == before + 1, (
-                "two captures of one shape must share one emission"
-            )
+        before = CODEGEN_METER.emissions
+        for values in (first, second):
+            scalar, sid, make = _instance(*values)
+            factory = _instance_factory(plan, scalar, sid)
+            interp = run_session(factory, False, iters=4, make=make)
+            assert run_session(factory, True, iters=4, make=make) == interp
+        assert CODEGEN_METER.emissions == before + 1, (
+            "two captures of one shape must share one emission"
+        )
 
     @staticmethod
-    def _capture(system=None, backend="numpy-opt", partial=False, ready=5):
+    def _capture(system=None, partial=False, ready=5):
         m = VectorMachine(system or SystemConfig())
-        m.jit_backend = backend
         st_ = _seed_state(m)
         if partial:
             st_.inb = m.whilelt(0, m.lanes(64) - 1, 64)
@@ -329,12 +330,11 @@ class TestEmissionTable:
         # No external in flight: the entry guard line drops out.
         emitted, unguarded = self._capture(ready=0)
         assert emitted == 1 and "_eg" not in unguarded.source
-        assert self._capture(backend="numpy")[0] == 1
         slower = replace(SystemConfig(), lat_vector_arith=7)
         assert self._capture(system=slower)[0] == 1
         # Every variant above is now a table hit.
         for kwargs in ({}, {"partial": True}, {"ready": 0},
-                       {"backend": "numpy"}, {"system": slower}):
+                       {"system": slower}):
             assert self._capture(**kwargs)[0] == 0, kwargs
 
 
@@ -346,22 +346,19 @@ def disk_cache(tmp_path):
     """Point the shared disk switch at a scratch dir; restore after."""
     saved_dir = CALIBRATION.directory
     CALIBRATION.enable_disk(tmp_path / "cache")
-    saved_memory = {
-        name: dict(b._memory) for name, b in _BACKENDS.items()
-    }
+    saved_memory = dict(backends._MEMORY)
     try:
         yield tmp_path / "cache"
     finally:
         CALIBRATION.directory = saved_dir
-        for name, mem in saved_memory.items():
-            _BACKENDS[name]._memory.clear()
-            _BACKENDS[name]._memory.update(mem)
+        backends._MEMORY.clear()
+        backends._MEMORY.update(saved_memory)
 
 
 def _compiled_entry(source="d0 = 1\n"):
-    dig = kernel_cache.digest("numpy", 1, source)
+    dig = kernel_cache.digest(1, source)
     code = compile(source, "<kernel>", "exec")
-    kernel_cache.store(dig, "numpy", code, {"bufs": []})
+    kernel_cache.store(dig, code, {"bufs": []})
     return dig, kernel_cache._path(dig)
 
 
@@ -379,7 +376,7 @@ class TestKernelCacheCorruption:
         dig, path = _compiled_entry()
         CALIBRATION.disable_disk()
         assert kernel_cache.load(dig) is None
-        kernel_cache.store(dig, "numpy", compile("", "<k>", "exec"), {})
+        kernel_cache.store(dig, compile("", "<k>", "exec"), {})
 
     def test_truncated_entry(self, disk_cache):
         dig, path = _compiled_entry()
@@ -412,7 +409,7 @@ class TestKernelCacheCorruption:
     def test_digest_mismatch_rejected(self, disk_cache):
         # A payload copied under the wrong filename must not be served.
         dig, path = _compiled_entry()
-        other = kernel_cache.digest("numpy", 1, "d0 = 2\n")
+        other = kernel_cache.digest(1, "d0 = 2\n")
         path.rename(kernel_cache._path(other))
         with pytest.warns(RuntimeWarning, match="different cache format"):
             assert kernel_cache.load(other) is None
@@ -423,7 +420,6 @@ class TestKernelCacheCorruption:
             {
                 "format": kernel_cache._FORMAT,
                 "digest": dig,
-                "backend": "numpy",
                 "code": b"\xffnot bytecode",
                 "meta": {},
             }
@@ -432,27 +428,26 @@ class TestKernelCacheCorruption:
         with pytest.warns(RuntimeWarning, match="bad bytecode"):
             assert kernel_cache.load(dig) is None
 
-    def test_digest_separates_backends_and_versions(self):
+    def test_digest_separates_versions_and_sources(self):
         src = "d0 = 1\n"
         digs = {
-            kernel_cache.digest("numpy", 1, src),
-            kernel_cache.digest("numpy-opt", 1, src),
-            kernel_cache.digest("numpy-opt", 2, src),
-            kernel_cache.digest("numpy-opt", 2, src + "x = 0\n"),
+            kernel_cache.digest(1, src),
+            kernel_cache.digest(2, src),
+            kernel_cache.digest(2, src + "x = 0\n"),
         }
-        assert len(digs) == 4
+        assert len(digs) == 3
+        assert kernel_cache.digest(1, src) == kernel_cache.digest(1, src)
 
 
 class TestKernelCacheEndToEnd:
     def test_warm_cache_hits_without_recompiles(self, disk_cache):
-        _BACKENDS["numpy-opt"]._memory.clear()
-        first = run_session(_gather_body, "numpy-opt", iters=5)
-        assert CODEGEN_METER.backend == "numpy-opt"
+        backends._MEMORY.clear()
+        first = run_session(_gather_body, True, iters=5)
         # Simulate a new process: in-memory kernel cache gone, disk kept.
-        _BACKENDS["numpy-opt"]._memory.clear()
+        backends._MEMORY.clear()
         hits0 = CODEGEN_METER.kernel_cache_hits
         compiles0 = CODEGEN_METER.kernel_compiles
-        second = run_session(_gather_body, "numpy-opt", iters=5)
+        second = run_session(_gather_body, True, iters=5)
         assert second == first
         assert CODEGEN_METER.kernel_cache_hits > hits0
         assert CODEGEN_METER.kernel_compiles == compiles0, (
@@ -460,16 +455,16 @@ class TestKernelCacheEndToEnd:
         )
 
     def test_corrupted_entries_recompile_identically(self, disk_cache):
-        _BACKENDS["numpy-opt"]._memory.clear()
-        first = run_session(_gather_body, "numpy-opt", iters=5)
+        backends._MEMORY.clear()
+        first = run_session(_gather_body, True, iters=5)
         for entry in kernel_cache.kernel_dir().glob("k-*.bin"):
             raw = bytearray(entry.read_bytes())
             raw[len(raw) // 2] ^= 0x01
             entry.write_bytes(bytes(raw))
-        _BACKENDS["numpy-opt"]._memory.clear()
+        backends._MEMORY.clear()
         compiles0 = CODEGEN_METER.kernel_compiles
         with pytest.warns(RuntimeWarning, match="recompiling"):
-            second = run_session(_gather_body, "numpy-opt", iters=5)
+            second = run_session(_gather_body, True, iters=5)
         assert second == first
         assert CODEGEN_METER.kernel_compiles > compiles0
 
@@ -480,7 +475,6 @@ class TestKernelCacheEndToEnd:
 class TestArenaSteadyState:
     def test_zero_growth_when_warm(self):
         m, buf = fresh_machine()
-        m.jit_backend = "numpy-opt"
         st = _seed_state(m)
         session = ReplaySession(m, _gather_body(buf))
         for _ in range(3):  # capture + warm the arena
@@ -498,84 +492,6 @@ class TestArenaSteadyState:
         a = ARENA.lease(key, (7,), "int64")
         b = ARENA.lease(key, (7,), "int64")
         assert a is b and a.dtype == np.int64 and a.shape == (7,)
-
-
-# ----------------------------------------------------------------------
-# Numba ladder: injected jit, guarded segments, absent-numba fallback
-# ----------------------------------------------------------------------
-class TestNumbaLadder:
-    def test_identity_jit_lifts_segments(self, monkeypatch):
-        nb = NumbaBackend(jit=lambda fn: fn)
-        lowered = {}
-        orig = nb._lower
-
-        def spy(ir):
-            source, meta = orig(ir)
-            lowered[ir.source] = source
-            return source, meta
-
-        nb._lower = spy
-        monkeypatch.setitem(_BACKENDS, "numba", nb)
-
-        def alu_body(buf):
-            def body(m, st):
-                a = m.add(st.v, st.h, pred=None)
-                b = m.xor(a, st.v, pred=None)
-                c = m.and_(b, 4095, pred=None)
-                d = m.mul(c, 3, pred=None)
-                e = m.sub(d, a, pred=None)
-                st.h = m.or_(e, 1, pred=None)
-                st.v = m.add(st.v, 7)
-                st.inb = m.cmp("lt", st.v, 1 << 40)
-
-            return body
-
-        assert_backend_identical(alu_body, "numba", iters=5)
-        assert lowered, "numba backend never lowered a kernel"
-        assert any("_sg0" in src and "_nj(" in src for src in lowered.values()), (
-            "a 6-op pure ALU run must be lifted into a jitted segment"
-        )
-
-    def test_guarded_jit_pins_fallback_on_first_failure(self):
-        def exploding_jit(fn):
-            def boom(*args):
-                raise TypeError("nopython typing failed")
-
-            return boom
-
-        wrapped = _guarded_jit(exploding_jit)(lambda x: x + 1)
-        fallbacks0 = CODEGEN_METER.backend_fallbacks
-        assert wrapped(2) == 3
-        assert CODEGEN_METER.backend_fallbacks == fallbacks0 + 1
-        assert wrapped(5) == 6  # pinned: no second attempt, no second bump
-        assert CODEGEN_METER.backend_fallbacks == fallbacks0 + 1
-
-    def test_guarded_jit_pins_jitted_on_success(self):
-        calls = []
-
-        def counting_jit(fn):
-            def jitted(*args):
-                calls.append(args)
-                return fn(*args)
-
-            return jitted
-
-        wrapped = _guarded_jit(counting_jit)(lambda x: x * 2)
-        assert wrapped(3) == 6 and wrapped(4) == 8
-        assert len(calls) == 2
-
-    def test_missing_numba_falls_back_to_numpy_opt(self, monkeypatch):
-        nb = NumbaBackend()
-        nb._probed, nb._jit = True, None  # force "import failed"
-        monkeypatch.setitem(_BACKENDS, "numba", nb)
-        fallbacks0 = CODEGEN_METER.backend_fallbacks
-        interp = run_session(_gather_body, None, iters=4)
-        with pytest.warns(RuntimeWarning, match="falling back to numpy-opt"):
-            replay = run_session(_gather_body, "numba", iters=4)
-        assert replay == interp
-        assert CODEGEN_METER.backend_fallbacks > fallbacks0
-        assert CODEGEN_METER.backend == "numpy-opt"
-        assert "numba" not in available_backends()
 
 
 # ----------------------------------------------------------------------
