@@ -619,7 +619,6 @@ class Supervisor:
     # -- pooled execution ----------------------------------------------
     def _run_pool(self, tasks, results, workers: int) -> None:
         """Dispatch tasks to per-unit worker processes with supervision."""
-        import multiprocessing
         from multiprocessing.connection import wait as conn_wait
 
         from repro.cache import CALIBRATION

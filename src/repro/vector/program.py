@@ -32,6 +32,17 @@ through as :class:`SymInt` values: plain ints during the capture run,
 linear expressions over the replay-time parameter tuple in the compiled
 code.
 
+A *prefix predicate* is the output of a recorded ``whilelt``: lanes
+``0..w-1`` are active, where ``w`` is the clamped lane count the
+kernel computes from the op's scalars.  A contiguous load or store
+under it has one live index range, ``max(ts, 0)`` to ``min(ts + w,
+len)``, so the emitter lowers it to two integer bounds and a slice copy
+instead of an index vector, a lane mask and a fancy-index copy.  The
+store range guard becomes ``w and ts + w > len``.  The choice follows
+the recorded op kinds alone, which the shape keys on; every other
+predicate keeps the index-vector form.  The DP chunk kernels predicate
+all of their loads and stores this way.
+
 Captured programs live on per-pair objects, so the same block is
 captured again for every pair.  The kernel source is therefore emitted
 once per *block shape* (:class:`_Shape`: everything the emitter reads —
@@ -122,7 +133,6 @@ class ReplayMeter:
             "memvec_patterns_compiled": MEMVEC_METER.patterns_compiled,
             "memvec_pattern_declined": MEMVEC_METER.pattern_declined,
             "kernel_cache_hits": CODEGEN_METER.kernel_cache_hits,
-            "kernel_cache_misses": CODEGEN_METER.kernel_cache_misses,
             "kernel_compiles": CODEGEN_METER.kernel_compiles,
             "emissions": CODEGEN_METER.emissions,
             "compile_s": CODEGEN_METER.compile_s,
@@ -901,6 +911,16 @@ def _emit(shape: _Shape) -> _Emission:
     for slot in out_set:
         last_use[slot] = BIG
 
+    # Prefix predicates (see the module docstring): the whilelt outputs
+    # that predicate a load or store of the same lane count (a 1-lane
+    # predicate would broadcast over a wider access).  Their whilelt
+    # keeps its clamped lane count in ``w{slot}`` for those accesses.
+    wlanes = {op["o"]: op["n"] for op in ops if op["kind"] == "whilelt"}
+    prefix = {
+        op["p"] for op in ops
+        if op["kind"] in ("load", "store") and wlanes.get(op["p"]) == op["n"]
+    }
+
     # ------------------------------------------------------------------
     # Merge sinking.  A predicated op's inactive lanes are *dead* when
     # every consumer is a same-pred merging op (binop/cmp/rbit/clz) that
@@ -1091,6 +1111,8 @@ def _emit(shape: _Shape) -> _Emission:
             w("if tw < 0: tw = 0")
             w(f"elif tw > {op['n']}: tw = {op['n']}")
             w(f"d{o} = {op['base']} < tw")
+            if o in prefix:
+                w(f"w{o} = tw")
             issue((), 1, lat_pred, o, "vector", k)
             instr["control"] += 1
             busy["control"] += 1
@@ -1208,29 +1230,42 @@ def _emit(shape: _Shape) -> _Emission:
             dyn_mem = True
         elif kind == "load":
             flush(k)
-            p, buf, n = op["p"], op["buf"], op["n"]
+            p, buf, n, eb = op["p"], op["buf"], op["n"], op["eb"]
             w(f"ts = {ssrc(op['start'])}")
-            w(f"ti = _ar(ts, ts + {n})")
             # Buffer length goes through the env (kbake), not the source:
             # the same block over different-length sequences must keep an
             # identical source so the bytecode cache can hit.
-            w(f"tr = d{p} & (ti >= 0) & (ti < {kbake(k, 'len')})")
-            # ``ti`` ascends, so the live lanes span tl2[0]..tl2[-1].
-            w("tl2 = ti[tr]")
-            w(f"d{o} = _zi64({n})")
-            w(f"d{o}[tr] = {buf}.data[tl2]")
-            w("if tl2.size:")
-            w("    tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
-            w("else:")
-            w("    tlo = 0; tsp = 0")
-            w("if tsp:")
-            w(f"    ta = {buf}.base + tlo * {op['eb']}")
+            if wlanes.get(p) == n:
+                # Lanes 0..w-1 clipped to the buffer: live indices
+                # tlo..thi-1, zero elsewhere.
+                kl = kbake(k, "len")
+                w("tlo = ts if ts > 0 else 0")
+                w(f"thi = ts + w{p}")
+                w(f"if thi > {kl}: thi = {kl}")
+                w(f"d{o} = _zi64({n})")
+                w("if thi > tlo:")
+                w(f"    d{o}[tlo - ts:thi - ts] = {buf}.data[tlo:thi]")
+                w(f"    tnb = (thi - tlo) * {eb}")
+                nbytes = "tnb"
+            else:
+                w(f"ti = _ar(ts, ts + {n})")
+                w(f"tr = d{p} & (ti >= 0) & (ti < {kbake(k, 'len')})")
+                # ``ti`` ascends, so the live lanes span tl2[0]..tl2[-1].
+                w("tl2 = ti[tr]")
+                w(f"d{o} = _zi64({n})")
+                w(f"d{o}[tr] = {buf}.data[tl2]")
+                w("if tl2.size:")
+                w("    tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
+                w("else:")
+                w("    tlo = 0; tsp = 0")
+                w("if tsp:")
+                nbytes = f"tsp * {eb}"
+            w(f"    ta = {buf}.base + tlo * {eb}")
             w("    _mach.clock = clock")
-            w(f"    tlat = _mem.access(ta, tsp * {op['eb']}, "
-              f"{kbake(k, 'sid')})")
+            w(f"    tlat = _mem.access(ta, {nbytes}, {kbake(k, 'sid')})")
             if op["fwd"]:
                 w("    if _mach._store_visible:"
-                  f" tlat += _mach._forwarding_stall(ta, tsp * {op['eb']})")
+                  f" tlat += _mach._forwarding_stall(ta, {nbytes})")
             w("else:")
             w(f"    tlat = {l1_ltu}")
             w(f"tlat += {load_extra}")
@@ -1239,25 +1274,38 @@ def _emit(shape: _Shape) -> _Emission:
             busy["memory"] += 1
         elif kind == "store":
             flush(k)
-            v, p, buf, n = op["v"], op["p"], op["buf"], op["n"]
+            v, p, buf, n, eb = op["v"], op["p"], op["buf"], op["n"], op["eb"]
             w(f"ts = {ssrc(op['start'])}")
-            w(f"ti = _ar(ts, ts + {n})")
             kl = kbake(k, "len")
-            w(f"tr = d{p} & (ti >= 0) & (ti < {kl})")
-            w(f"if _any(d{p} & ~tr & (ti >= {kl})): _oob({buf})")
-            w("tl2 = ti[tr]")
-            w(f"{buf}.data[tl2] = d{v}[tr]")
-            w("if tl2.size:")
-            w("    tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
-            w("else:")
-            w("    tlo = 0; tsp = 0")
-            w(f"{buf}._win64 = None")
-            w("if tsp:")
-            w(f"    ta = {buf}.base + tlo * {op['eb']}")
+            if wlanes.get(p) == n:
+                # An active lane past the end raises; past the guard,
+                # ts + w <= len, so only the low bound needs clipping.
+                w(f"if w{p} and ts + w{p} > {kl}: _oob({buf})")
+                w("tlo = ts if ts > 0 else 0")
+                w(f"thi = ts + w{p}")
+                w(f"{buf}._win64 = None")
+                w("if thi > tlo:")
+                w(f"    {buf}.data[tlo:thi] = d{v}[tlo - ts:thi - ts]")
+                w(f"    tnb = (thi - tlo) * {eb}")
+                nbytes = "tnb"
+            else:
+                w(f"ti = _ar(ts, ts + {n})")
+                w(f"tr = d{p} & (ti >= 0) & (ti < {kl})")
+                w(f"if _any(d{p} & ~tr & (ti >= {kl})): _oob({buf})")
+                w("tl2 = ti[tr]")
+                w(f"{buf}.data[tl2] = d{v}[tr]")
+                w("if tl2.size:")
+                w("    tlo = int(tl2[0]); tsp = int(tl2[-1]) - tlo + 1")
+                w("else:")
+                w("    tlo = 0; tsp = 0")
+                w(f"{buf}._win64 = None")
+                w("if tsp:")
+                nbytes = f"tsp * {eb}"
+            w(f"    ta = {buf}.base + tlo * {eb}")
             w("    _mach.clock = clock")
-            w(f"    _mem.access(ta, tsp * {op['eb']}, {kbake(k, 'sid')})")
+            w(f"    _mem.access(ta, {nbytes}, {kbake(k, 'sid')})")
             if op["fwd"]:
-                w(f"    _mach._record_store(ta, tsp * {op['eb']})")
+                w(f"    _mach._record_store(ta, {nbytes})")
             issue([v, p], 1, 1, None, "memory", k)
             instr["memory"] += 1
             busy["memory"] += 1
@@ -1510,7 +1558,9 @@ class RecordedProgram:
         """Run the compiled block; ``None`` means the program declined
         (an external register was not ready yet at block entry) and the
         caller must interpret this iteration instead."""
+        t0 = _pc()
         out = self._fn(machine, regs, scalars)
+        REPLAY_METER.kernel_run_s += _pc() - t0
         if out is not None:
             REPLAY_METER.replayed_blocks += 1
             REPLAY_METER.replayed_instructions += self.n_ops

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.align.vectorized.extend_loop import (
-    ExtendConsts,
     ExtendCostModel,
-    VEC_WINDOW,
     VecExtendKernel,
     extend_chunks,
     vec_extend,

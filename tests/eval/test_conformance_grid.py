@@ -12,8 +12,11 @@ the QUETZAL-accelerated DP kernel), every cell of
 must reproduce the all-off serial baseline exactly — same per-pair
 cycle counts, same merged machine statistics (cache hits, prefetch
 accuracy, DRAM traffic, ...), same alignment outputs.  This base grid
-also runs the QBUFFER window path (``wfa-qz``: ``qzload`` windows) and
-the count-ALU paths (``biwfa-qzc``: ``qzmhm`` count and rcount).
+also runs the QBUFFER window path (``wfa-qz``: ``qzload`` windows), the
+count-ALU paths (``biwfa-qzc``: ``qzmhm`` count and rcount) and the
+plain anti-diagonal DP kernel (``ksw-vec``: the 1-byte pattern and text
+loads that ``ksw-qz`` reads from the QBUFFERs instead, all
+``whilelt``-predicated, which replay as closed-form slices).
 
 A divergence-heavy batch (mixed lengths and error rates, so pairs
 finish at very different iteration counts and DP pairs open and close
@@ -96,6 +99,7 @@ import multiprocessing
 
 import pytest
 
+from repro.align.dp_machine import KswVec
 from repro.align.quetzal_impl import BiwfaQzc, KswQz, WfaQz
 from repro.align.vectorized import BiwfaVec, SsVec, WfaVec
 from repro.cache import CALIBRATION
@@ -111,8 +115,10 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 IMPLS = {"wfa-vec": WfaVec, "ss-vec": SsVec, "ksw-qz": KswQz}
 #: The base grid's families: IMPLS plus the QBUFFER window and count-ALU
-#: read paths (the other axes keep to IMPLS).
-BASE_IMPLS = {**IMPLS, "wfa-qz": WfaQz, "biwfa-qzc": BiwfaQzc}
+#: read paths and the plain DP kernel (the other axes keep to IMPLS).
+BASE_IMPLS = {
+    **IMPLS, "wfa-qz": WfaQz, "biwfa-qzc": BiwfaQzc, "ksw-vec": KswVec,
+}
 
 #: (use_batched_memory, use_replay, trace, jobs) — the full grid.
 GRID = list(itertools.product((False, True), (False, True), (False, True), (1, 2)))

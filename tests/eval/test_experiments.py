@@ -5,8 +5,6 @@ runs them at full scale.  These tests check structure and the headline
 invariants, not exact magnitudes.
 """
 
-import pytest
-
 from repro.eval import experiments as ex
 
 SCALE = 0.08

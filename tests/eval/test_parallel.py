@@ -13,7 +13,6 @@ from repro.eval.parallel import (
     evaluate_cells,
     evaluate_units,
     merge_run_results,
-    run_sharded,
     shard_units,
 )
 from repro.eval.reporting import render_table

@@ -145,7 +145,7 @@ class TestMeterReset:
         # counters are compared exactly.
         nondeterministic = {
             "compile_s", "kernel_run_s", "mem_model_s",
-            "kernel_cache_hits", "kernel_cache_misses", "kernel_compiles",
+            "kernel_cache_hits", "kernel_compiles",
             "emissions",
         }
         for key, value in first.items():

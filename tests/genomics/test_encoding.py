@@ -15,7 +15,6 @@ from repro.genomics.encoding import (
     pack_words,
     unpack_2bit_words,
     unpack_8bit_words,
-    unpack_words,
 )
 
 dna_text = st.text(alphabet="ACGT", min_size=0, max_size=300)

@@ -4,8 +4,6 @@ place, 429-style rejections, and the graceful-drain contract."""
 import asyncio
 import json
 
-import pytest
-
 from repro.serve.client import batch_reference_records, open_loop, request_line
 from repro.serve.engine import ServeEngineConfig
 from repro.serve.protocol import AlignRequest

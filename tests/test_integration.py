@@ -4,8 +4,6 @@ Each test exercises a realistic slice of the whole stack: datasets ->
 simulated machine (+ accelerator) -> algorithms -> metrics.
 """
 
-import pytest
-
 from repro.align.needleman_wunsch import nw_edit_distance
 from repro.align.myers import myers_edit_distance
 from repro.align.quetzal_impl import (

@@ -3,8 +3,6 @@
 import pathlib
 import re
 
-import pytest
-
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 

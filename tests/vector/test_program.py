@@ -7,6 +7,7 @@ attribution, memory counters), the clock, ``_max_complete``, and the
 functional register values.
 """
 
+import dataclasses
 import traceback
 
 import numpy as np
@@ -424,6 +425,144 @@ class TestStoreRangeGuard:
             self._run()
         assert "<recorded-program>" in self._raised_in(exc)
 
+    @pytest.mark.parametrize("replay", (False, True))
+    def test_prefix_predicated_store_raises(self, replay):
+        """A ``whilelt``-predicated store captured in range raises once
+        its last active lane lands one past the end."""
+        m = VectorMachine(SystemConfig())
+        buf = m.new_buffer("g", np.zeros(40, dtype=np.int64), elem_bytes=4)
+
+        def block(rm, start, count):
+            act = rm.whilelt(0, count)
+            rm.store(buf, start, rm.dup(7), pred=act)
+            return ()
+
+        _outs, prog = capture(m, block, (), (20, 16))
+        assert prog is not None
+        with pytest.raises(MachineError, match="store out of range") as exc:
+            if replay:
+                prog.replay(m, (), (25, 16))
+            else:
+                block(m, 25, 16)
+        assert ("<recorded-program>" in self._raised_in(exc)) == replay
+
+
+# ----------------------------------------------------------------------
+# Prefix predicates: whilelt-predicated contiguous loads and stores
+# ----------------------------------------------------------------------
+#: (start, count) per step; the block loads at ``start`` and stores at
+#: ``start - 40`` on 40-element buffers.  Loads cover starts below 0,
+#: spans past the end and spans wholly outside on either side; stores
+#: cover spans wholly and partly below 0, in range and ending exactly at
+#: the end (an active store lane past the end raises, see
+#: TestStoreRangeGuard).  Counts cover 0, partial, the lane count and
+#: above it.
+PREFIX_STEPS = (
+    (20, 16), (0, 16), (16, 16), (-8, 16), (-30, 16), (-16, 16),
+    (30, 16), (35, 20), (40, 16), (50, 16), (64, 16), (30, 5), (-3, 5),
+    (2, 1), (100, 0), (-100, 0), (10, 0), (24, 16), (56, 16), (63, 3),
+)
+
+
+class TestPrefixPredicate:
+    """A load or store predicated by a recorded ``whilelt`` replays as
+    two integer bounds and a slice; every step must leave the machine
+    bit-identical to interpreting the same block."""
+
+    @staticmethod
+    def _machine():
+        m = VectorMachine(SystemConfig())
+        f4 = m.new_buffer(
+            "f4", 1000 + np.arange(40, dtype=np.int64) * 3, elem_bytes=4
+        )
+        f4.track_forwarding = True
+        b1 = m.new_buffer("b1", np.arange(40, dtype=np.int64) % 5, elem_bytes=1)
+        return m, f4, b1
+
+    @staticmethod
+    def _block(f4, b1):
+        def block(rm, start, count):
+            act = rm.whilelt(0, count)
+            a = rm.load(f4, start, 32, pred=act)
+            b = rm.load(b1, start, 32, pred=act)
+            s = rm.add(rm.add(a, b, pred=act), 3, pred=act)
+            rm.store(f4, start - 40, s, pred=act)
+            rm.store(b1, start - 40, b, pred=act)
+            return (s, b)
+
+        return block
+
+    @staticmethod
+    def _state(m, f4, b1, outs):
+        return (
+            tuple(tuple(r.data.tolist()) for r in outs),
+            f4.data.tolist(), b1.data.tolist(),
+            m.clock, m._max_complete, m.snapshot(), m.mem.stats(),
+            dict(m._store_visible),
+        )
+
+    def test_replay_matches_interpreter(self):
+        mi, f4i, b1i = self._machine()
+        mr, f4r, b1r = self._machine()
+        interp, replay = self._block(f4i, b1i), self._block(f4r, b1r)
+        prog = None
+        for step, (start, count) in enumerate(PREFIX_STEPS):
+            want = interp(mi, start, count)
+            if prog is None:
+                got, prog = capture(mr, replay, (), (start, count))
+                assert prog is not None
+            else:
+                got = prog.replay(mr, (), (start, count))
+            assert self._state(mr, f4r, b1r, got) == self._state(
+                mi, f4i, b1i, want
+            ), f"step {step}: start {start}, count {count}"
+        assert "_ar(" not in prog.source and "w0 = tw" in prog.source
+
+    def test_one_lane_predicate_over_wider_access(self):
+        """On a 64-bit machine a 1-lane whilelt broadcasts over a 2-lane
+        load in the interpreter, so that load keeps the index-vector
+        form while a 1-lane load under the same predicate is sliced."""
+        m = VectorMachine(dataclasses.replace(SystemConfig(), vlen_bits=64))
+        buf = m.new_buffer("b", np.arange(10, dtype=np.int64), elem_bytes=4)
+
+        def block(rm, start, count):
+            act = rm.whilelt(0, count, ebits=64)
+            return (rm.load(buf, start, 64, pred=act),
+                    rm.load(buf, start, 32, pred=act))
+
+        _outs, prog = capture(m, block, (), (3, 1))
+        got = [r.data.tolist() for r in prog.replay(m, (), (4, 1))]
+        assert got == [r.data.tolist() for r in block(m, 4, 1)]
+        assert got == [[4], [4, 5]]
+        assert "_ar(" in prog.source and "w0 = tw" in prog.source
+
+
+@pytest.mark.parametrize("impl", ("ksw-vec", "ksw-qz"))
+def test_dp_chunk_kernels_use_prefix_bounds(monkeypatch, impl):
+    """Every DP chunk access is whilelt-predicated, so no captured chunk
+    kernel builds an index vector."""
+    from repro.align import dp_machine
+    from repro.align.quetzal_impl import KswQz
+    from repro.eval.runner import make_machine
+    from repro.genomics.generator import ReadPairGenerator
+
+    progs = []
+
+    def recording_capture(*args, **kwargs):
+        outs, prog = capture(*args, **kwargs)
+        progs.append(prog)
+        return outs, prog
+
+    monkeypatch.setattr(dp_machine, "capture", recording_capture)
+    monkeypatch.setattr(VectorMachine, "use_replay", True)
+    cls = dp_machine.KswVec if impl == "ksw-vec" else KswQz
+    pair = ReadPairGenerator(length=60, seed=5).pair()
+    cls(fast=False).run_pair(make_machine(quetzal=True), pair)
+    assert progs and all(p is not None for p in progs)
+    for prog in progs:
+        assert "_mem.access" in prog.source
+        assert "_ar(" not in prog.source
+
 
 # ----------------------------------------------------------------------
 # Meter conservation
@@ -464,6 +603,26 @@ class TestMeterConservation:
                 == d["total_blocks"]
             ), f"conservation violated: {d}"
             assert (d["replayed_blocks"] > 0) == replay
+
+    def test_recorded_program_replay_meters_kernel_time(self):
+        """DP chunks replay through ``RecordedProgram.replay``, which
+        times its kernel call like ``ReplaySession.step``."""
+        from repro.align.dp_machine import KswVec
+        from repro.eval.runner import make_machine
+        from repro.genomics.generator import ReadPairGenerator
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VectorMachine, "use_replay", True)
+            pair = ReadPairGenerator(length=60, seed=5).pair()
+            before = REPLAY_METER.snapshot()
+            KswVec(fast=False).run_pair(make_machine(), pair)
+            d = REPLAY_METER.delta(before)
+        assert d["replayed_blocks"] > 0 and d["kernel_run_s"] > 0, d
+        assert (
+            d["captures"] + d["replayed_blocks"]
+            + d["interpreted_blocks"] + d["broken"]
+            == d["total_blocks"]
+        ), f"conservation violated: {d}"
 
 
 # ----------------------------------------------------------------------
