@@ -3,8 +3,8 @@
 This is the paper's use case 3: ksw2-style banded global alignment and
 parasail-style full-table NW, both processed along anti-diagonals
 (Fig. 7).  Cells on diagonal ``d = i + j`` depend only on diagonals
-``d-1`` (E/F) and ``d-2`` (substitution), so a chunk of 16 cells computes
-in one pass of vector ops.
+``d-1`` (E/F) and ``d-2`` (substitution), so a chunk of one vector of
+32-bit lanes (16 cells at 512 bits) computes in one pass of vector ops.
 
 The VEC kernel's bottleneck is the one the paper names (Fig. 7 steps
 1-2): every diagonal's loads read rolling-array lines *stored one
@@ -266,7 +266,7 @@ class DpEngine:
 
     # ------------------------------------------------------------------
     def _chunk_kernel(self, d: int, i0: int, count: int) -> None:
-        """Instruction-level kernel for one 16-cell chunk of diagonal d."""
+        """Instruction-level kernel for one chunk of diagonal d."""
         self._chunk_body(self.machine, d, i0, count)
         self._tb_account(count)
 
@@ -420,14 +420,17 @@ class DpEngine:
         # back to interpretation (and is an ablation-only mode anyway).
         use_replay = ReplaySession.enabled(m) and self.qz_mode != "state"
         programs: dict = {}
+        # One chunk is one vector of 32-bit lanes: the kernel computes
+        # exactly that many cells.
+        lanes = m.lanes(32)
         self._set_boundaries(0)
         for d in range(1, self.m + self.n + 1):
             st.rotate()
             self._set_boundaries(d)
             ilo, ihi = _diag_range(d, self.m, self.n, self.band)
             m.scalar(3)
-            for i0 in range(ilo, ihi + 1, 16):
-                count = min(16, ihi - i0 + 1)
+            for i0 in range(ilo, ihi + 1, lanes):
+                count = min(lanes, ihi - i0 + 1)
                 if not use_replay:
                     self._chunk_kernel(d, i0, count)
                     continue
@@ -455,10 +458,12 @@ class DpEngine:
 
     # ------------------------------------------------------------------
     def _measured_chunk_cost(self) -> MachineStats:
+        lanes = self.machine.lanes(32)
         key = (
             "dp-chunk",
             self.qz_mode,
             self.machine.system.vlen_bits,
+            lanes,
             self.machine.system.lat_vector_arith,
             self.machine.system.lat_predicate,
             self.machine.system.store_to_load_visible,
@@ -486,12 +491,12 @@ class DpEngine:
         d = 400
         for warm_d in (d - 2, d - 1):
             ilo, ihi = _diag_range(warm_d, engine.m, engine.n, engine.band)
-            for i0 in range(ilo, min(ihi, ilo + 160) + 1, 16):
-                engine._chunk_kernel(warm_d, i0, 16)
+            for i0 in range(ilo, min(ihi, ilo + 10 * lanes) + 1, lanes):
+                engine._chunk_kernel(warm_d, i0, lanes)
             engine.state.rotate()
         ilo, ihi = _diag_range(d, engine.m, engine.n, engine.band)
         before = scratch.snapshot()
-        engine._chunk_kernel(d, ilo + 16, 16)
+        engine._chunk_kernel(d, ilo + lanes, lanes)
         cost = scratch.snapshot().delta(before)
         CALIBRATION.put(key, cost)
         return cost
@@ -499,13 +504,14 @@ class DpEngine:
     def _run_fast(self) -> int | None:
         m = self.machine
         cost = self._measured_chunk_cost()
+        lanes = m.lanes(32)
         widths = np.empty(self.m + self.n, dtype=np.int64)
         total_chunks = 0
         for d in range(1, self.m + self.n + 1):
             ilo, ihi = _diag_range(d, self.m, self.n, self.band)
             width = max(0, ihi - ilo + 1)
             widths[d - 1] = width
-            total_chunks += -(-width // 16)
+            total_chunks += -(-width // lanes)
         m.account_stats(cost, times=total_chunks)
         if self.qz_mode == "state":
             m.quetzal.qbuf[0].reads += total_chunks * 3

@@ -6,6 +6,15 @@ Both levels train a stride prefetcher; prefetched lines are filled without
 charging latency to the triggering request (their DRAM traffic *is*
 counted, feeding the bandwidth model).
 
+:meth:`MemoryHierarchy.access` is the demand walk that the interpreter,
+the replayed kernels and the alignment code call per request, so it
+runs in one frame: it trains the L1 stream entry in place, stages the
+not-yet-resident targets of the shared prefetch-target rules
+(:meth:`MemoryHierarchy._prefetch_rels`) through the L2 fill path, and
+retires each demand line with the same slot/LRU/flag updates as the
+batch engines.  Only misses and prefetch fills leave the frame.
+:meth:`MemoryHierarchy.access_line` is an aligned one-byte ``access``.
+
 Batched requests (:meth:`MemoryHierarchy.access_batch`) have one engine
 per batch length: a plain Python walk for short batches, fronted by
 pattern memoization (:mod:`repro.memory.memvec`) that retires a repeated
@@ -26,7 +35,7 @@ from repro.errors import MemoryModelError
 from repro.memory import memvec
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.dram import AddressAllocator, MainMemory
-from repro.memory.prefetcher import StridePrefetcher
+from repro.memory.prefetcher import StridePrefetcher, _StreamEntry
 
 
 @dataclass
@@ -108,6 +117,8 @@ class MemoryHierarchy:
         self._scalar_ctx = None
         # Hot geometry constants shared by the batch engines.
         self._not_mask = ~(line - 1)
+        self._line_bytes = line
+        self._l1_lat = self.system.l1d.load_to_use
         self._l1_degree = (
             self._l1_prefetcher.degree if self._l1_prefetcher else 0
         )
@@ -162,30 +173,11 @@ class MemoryHierarchy:
                 self.dram.access(pf_line)
                 self.l2.fill(pf_line, prefetch=True)
 
-    def _train(self, stream_id: int, addr: int, demand: "tuple[int, int]") -> None:
-        """Train the L1 stride prefetcher on a raw request address.
-
-        ``demand`` is the inclusive line range the triggering request is
-        itself about to access — those lines must not be filled here, or
-        the demand's own miss would be miscounted as a prefetch hit.
-        """
-        if self._l1_prefetcher is None:
-            return
-        for pf_line in self._l1_prefetcher.observe(stream_id, addr, demand):
-            if not self.l1.probe(pf_line):
-                self._fill_from_l2(pf_line, stream_id, prefetch=True)
-
     def access_line(self, line_addr: int, stream_id: int = 0) -> int:
         """One demand line access; returns load-to-use latency in cycles."""
-        if line_addr % self.system.l1d.line_bytes:
+        if line_addr % self._line_bytes:
             raise MemoryModelError(f"unaligned line address: {line_addr:#x}")
-        self.requests += 1
-        self._train(stream_id, line_addr, (line_addr, line_addr))
-        if self.l1.access(line_addr):
-            return self.system.l1d.load_to_use
-        return self.system.l1d.load_to_use + self._fill_from_l2(
-            line_addr, stream_id
-        )
+        return self.access(line_addr, 1, stream_id)
 
     def access(self, addr: int, size_bytes: int = 1, stream_id: int = 0) -> int:
         """Demand access of ``size_bytes`` at ``addr``.
@@ -194,26 +186,72 @@ class MemoryHierarchy:
         the returned latency is the slowest line's.  The prefetcher
         trains on the raw request address, so sub-line strides (e.g.
         32-byte vector loads) still form confident streams.
+
+        One frame walks the whole request: the L1 stream entry is read
+        and updated in place (``StridePrefetcher.observe``'s recurrence),
+        a confident stride stages the targets of :meth:`_prefetch_rels`
+        that are not resident, and each demand line then retires as in
+        :meth:`_walk_rows`.
         """
         if size_bytes < 1:
             raise MemoryModelError(f"access size must be positive: {size_bytes}")
-        line = self.system.l1d.line_bytes
-        first = addr - (addr % line)
-        last = (addr + size_bytes - 1) - ((addr + size_bytes - 1) % line)
-        self._train(stream_id, addr, (first, last))
-        latency = 0
-        for line_addr in range(first, last + 1, line):
-            latency = max(latency, self._access_line_untrained(line_addr, stream_id))
-        return latency
-
-    def _access_line_untrained(self, line_addr: int, stream_id: int = 0) -> int:
-        """Demand line access without prefetcher training."""
-        self.requests += 1
-        if self.l1.access(line_addr):
-            return self.system.l1d.load_to_use
-        return self.system.l1d.load_to_use + self._fill_from_l2(
-            line_addr, stream_id
-        )
+        not_mask = self._not_mask
+        lo = addr & not_mask
+        hi = (addr + size_bytes - 1) & not_mask
+        l1 = self.l1
+        pf = self._l1_prefetcher
+        if pf is not None:
+            table = pf._table
+            entry = table.get(stream_id)
+            if entry is None:
+                # A new stream: evict the oldest entry (dict order) if
+                # the table is full; the first access issues nothing.
+                if len(table) >= pf.table_size:
+                    del table[next(iter(table))]
+                table[stream_id] = _StreamEntry(addr)
+            else:
+                stride = addr - entry.last_addr
+                entry.last_addr = addr
+                if stride != 0 and stride == entry.stride:
+                    entry.confident = True
+                    rels = self._prefetch_rels(addr, lo, hi, stride)
+                    if rels:
+                        pf.issued += len(rels)
+                        slot_of = l1._slot_of
+                        for rel in rels:
+                            if lo + rel not in slot_of:
+                                self._fill_from_l2(lo + rel, stream_id, True)
+                else:
+                    entry.confident = False
+                    entry.stride = stride
+        slot_get = l1._slot_of.get
+        tick = l1._tick
+        pf_flag = l1._pf
+        stats = l1.stats
+        l1_lat = self._l1_lat
+        line = self._line_bytes
+        self.requests += (hi - lo) // line + 1
+        worst = l1_lat
+        line_addr = lo
+        while True:
+            slot = slot_get(line_addr)
+            if slot is None:
+                stats.misses += 1
+                latency = l1_lat + self._fill_from_l2(line_addr, stream_id)
+                if latency > worst:
+                    worst = latency
+            else:
+                # Fills move the LRU clock, so it is re-read per line.
+                clock = l1._clock + 1
+                l1._clock = clock
+                tick[slot] = clock
+                stats.hits += 1
+                if pf_flag[slot]:
+                    pf_flag[slot] = 0
+                    stats.prefetch_hits += 1
+            if line_addr == hi:
+                return worst
+            line_addr += line
 
     # ------------------------------------------------------------------
     # Batched demand path
@@ -428,14 +466,13 @@ class MemoryHierarchy:
         """Line-relative prefetch-target offsets of one confident access.
 
         The single inline of ``StridePrefetcher.observe``'s emission
-        rules plus ``_train``'s staging decision, bit for bit — the
-        non-negative-target check, the inclusive ``[lo, hi]``
-        demand-window exclusion, and the in-order dedup — shared by
-        every batch engine (this replaces the per-call-site copies that
-        had drifted apart).  A positive stride from a non-negative
-        address can only produce positive targets, so those scans
-        depend on nothing but (line offset, stride, span) and are
-        memoized in ``_pf_rel_cache``.
+        rules, bit for bit — the non-negative-target check, the
+        inclusive ``[lo, hi]`` demand-window exclusion, and the in-order
+        dedup — shared by :meth:`access` and every batch engine (this
+        replaces the per-call-site copies that had drifted apart).  A
+        positive stride from a non-negative address can only produce
+        positive targets, so those scans depend on nothing but (line
+        offset, stride, span) and are memoized in ``_pf_rel_cache``.
         """
         cacheable = stride > 0 and addr_i >= 0
         if cacheable:

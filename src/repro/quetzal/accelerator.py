@@ -117,9 +117,13 @@ class QuetzalUnit:
     def load_sequence(self, sel: int, seq: Sequence, stream_id: int | None = None) -> None:
         """Stage a whole sequence into a QBUFFER (counted, per Section V-B).
 
-        Issues one unit-stride load + one qzencode (2-bit alphabets) or
-        word-group write (8-bit alphabets) per 64 characters.  The paper's
-        reported QUETZAL times include exactly this staging cost.
+        Issues one unit-stride load of ``lanes(8)`` characters per group,
+        then qzencode writes (2-bit alphabets) or one word-group write
+        (8-bit alphabets).  A group lands at the word of its first
+        character; a 2-bit group longer than one 128-bit encoder output
+        (vectors over 512 bits) takes one encoder write per two words.
+        The paper's reported QUETZAL times include exactly this staging
+        cost.
         """
         self.ctrl.check_select(sel)
         ebits = seq.alphabet.encoded_bits
@@ -128,21 +132,33 @@ class QuetzalUnit:
             raise QuetzalError(
                 f"sequence of {len(seq)} symbols exceeds QBUFFER capacity {cap}"
             )
+        chunk = self.encoder.chars_per_vector
+        if ebits == 2 and chunk % 32:
+            # Encoder writes are whole words: a group that is not a whole
+            # number of 32-code words would splice into its neighbour's.
+            raise QuetzalError(
+                f"2-bit staging needs whole 64-bit words per vector: a "
+                f"{self.encoder.vlen_bits}-bit vector encodes {chunk} "
+                f"characters (use a multiple of 256 bits)"
+            )
         m = self.machine
+        qbuf = self.qbuf[sel]
         name = f"seq:{sel}:{m.name_uid('seq')}"
         src = m.new_buffer(name, seq.hw_codes if ebits == 8 else
                            np.frombuffer(str(seq).encode("ascii"), dtype=np.uint8),
                            elem_bytes=1)
-        chunk = self.encoder.chars_per_vector
-        for i, start in enumerate(range(0, len(seq), chunk)):
+        for start in range(0, len(seq), chunk):
             vec = m.load(src, start, ebits=8, stream_id=stream_id)
             n = min(chunk, len(seq) - start)
             if ebits == 2:
                 words = self.encoder.encode_2bit(vec.data[:n].astype(np.uint64))
-                cycles = self.qbuf[sel].write_encoded(i, words)
+                first = start // 32
+                cycles = 0
+                for k in range(0, len(words), 2):
+                    cycles += qbuf.write_encoded_at(first + k, words[k : k + 2])
             else:
                 words = self.encoder.encode_8bit(vec.data[:n].astype(np.uint64))
-                cycles = self.qbuf[sel].write_words(i * (chunk // 8), words)
+                cycles = qbuf.write_words(start // 8, words)
             m._issue("qbuffer", cycles, 1, deps=(vec,))
 
     def load_values(self, sel: int, values: np.ndarray) -> None:
@@ -181,6 +197,30 @@ class QuetzalUnit:
         else:
             per_word = 64 // self.element_bits
             requests = len(set((indices // per_word).tolist()))
+        occupancy = -(-max(1, requests) // self.config.read_ports)
+        return raw, occupancy
+
+    def _read_run(
+        self, start: int, count: int, sel: int, windows: bool
+    ) -> tuple[np.ndarray, int]:
+        """:meth:`_read_raw` of the contiguous lane indices ``start ..
+        start+count-1`` (``count >= 0``): the replayed DP chunk kernels'
+        prefix-predicated reads of a unit-step ``iota``.
+
+        The same checks and messages as integer comparisons, the same
+        values and read count; the run's distinct SRAM words are its
+        first to last word, which is what the coalescing count of
+        :meth:`_read_raw` finds for a run.
+        """
+        ctrl = self.ctrl
+        ctrl.check_run(start, count, sel)
+        bits = ctrl.element_bits
+        raw = self.qbuf[sel].read_run(start, count, bits, windows)
+        if windows or bits == 64 or not count:
+            requests = count
+        else:
+            per_word = 64 // bits
+            requests = (start + count - 1) // per_word - start // per_word + 1
         occupancy = -(-max(1, requests) // self.config.read_ports)
         return raw, occupancy
 

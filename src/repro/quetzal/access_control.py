@@ -50,7 +50,17 @@ class AccessControl:
         if indices.size == 0:
             return
         lanes = indices.tolist()  # vector-sized: cheaper than two reductions
-        lo, hi = min(lanes), max(lanes)
+        self._check_range(min(lanes), max(lanes), sel)
+
+    def check_run(self, start: int, count: int, sel: int) -> None:
+        """:meth:`check_indices` of the run ``start .. start+count-1``."""
+        self.check_select(sel)
+        if not self.configured:
+            raise QuetzalError("QUETZAL not configured; issue qzconf first")
+        if count:
+            self._check_range(start, start + count - 1, sel)
+
+    def _check_range(self, lo: int, hi: int, sel: int) -> None:
         if lo < 0 or hi >= self.eb[sel]:
             raise QuetzalError(
                 f"QBUFFER {sel} index [{lo}, {hi}] outside configured "

@@ -22,6 +22,11 @@ from repro.config import QuetzalConfig
 from repro.errors import QuetzalError
 
 _MASK = {bits: np.uint64((1 << bits) - 1) for bits in (2, 8)}
+#: Bit offset of every element of a word, for unpacking a run.
+_SHIFTS = {
+    bits: np.arange(64 // bits, dtype=np.uint64) * np.uint64(bits)
+    for bits in (2, 8)
+}
 _WORD_BITS = np.uint64(64)
 
 
@@ -60,7 +65,9 @@ class QBuffer:
         if indices.size == 0:
             return
         lanes = indices.tolist()  # vector-sized: cheaper than two reductions
-        lo, hi = min(lanes), max(lanes)
+        self._check_span(min(lanes), max(lanes), element_bits)
+
+    def _check_span(self, lo: int, hi: int, element_bits: int) -> None:
         cap = self.capacity_elements(element_bits)
         if lo < 0 or hi >= cap:
             raise QuetzalError(
@@ -75,12 +82,17 @@ class QBuffer:
         """Encoded-mode write: a 128-bit encoder output into two consecutive
         SRAM words at position ``group_index``.  Single cycle.
         """
+        return self.write_encoded_at(group_index * 2, words)
+
+    def write_encoded_at(self, word_index: int, words: np.ndarray) -> int:
+        """Encoded-mode write of at most two words (one 128-bit encoder
+        output) starting at SRAM word ``word_index``.  Single cycle.
+        """
         words = np.asarray(words, dtype=np.uint64)
         if words.size > 2:
             raise QuetzalError("encoded-mode write takes at most two words")
-        base = group_index * 2
-        self._check_word(base + words.size - 1)
-        self.words[base : base + words.size] = words
+        self._check_word(word_index + words.size - 1)
+        self.words[word_index : word_index + words.size] = words
         self.writes += 1
         return 1
 
@@ -197,6 +209,40 @@ class QBuffer:
         requests = max(1, len(indices))
         latency = -(-requests // self.config.read_ports) + 1
         return values, latency
+
+    def read_run(
+        self, start: int, count: int, element_bits: int, windows: bool = False
+    ) -> np.ndarray:
+        """:meth:`read_vector`'s values for the contiguous run of elements
+        ``start .. start+count-1`` (``count >= 0``).
+
+        The bounds check is two integer comparisons.  Windows take the
+        same Fig. 10 splice over the run; a single 2- or 8-bit element
+        never straddles a word, so element values unpack the run's words
+        directly.  Counts one read, like :meth:`read_vector`.
+        """
+        end = start + count
+        if count:
+            self._check_span(start, end - 1, element_bits)
+        if element_bits == 64:
+            values = self.words[start:end].copy()
+        elif windows:
+            bit = np.arange(start * element_bits, end * element_bits, element_bits)
+            off = (bit & 63).astype(np.uint64)
+            word = bit >> 6
+            values = (self._padded[word] >> off) | (
+                self._padded[word + 1] << (_WORD_BITS - off)
+            )
+        else:
+            per_word = 64 // element_bits
+            first = start // per_word
+            words = self.words[first : (end - 1) // per_word + 1, None]
+            lo = start - first * per_word
+            values = ((words >> _SHIFTS[element_bits]) & _MASK[element_bits]).ravel()[
+                lo : lo + count
+            ]
+        self.reads += 1
+        return values
 
     def clear(self) -> None:
         self.words[:] = 0

@@ -159,9 +159,13 @@ def parse_request(line: "str | bytes") -> AlignRequest:
                 f"param {key!r} must be a scalar, got {type(value).__name__}"
             )
     vlen = obj.get("vlen_bits")
-    if vlen is not None and (not isinstance(vlen, int) or vlen < 128):
+    if vlen is not None and (
+        type(vlen) is not int or not 128 <= vlen <= 2048 or vlen % 128
+    ):
+        # SVE's vector lengths; checked before any machine is sized.
         raise ServeProtocolError(
-            f"request field 'vlen_bits' must be an int >= 128, got {vlen!r}"
+            "request field 'vlen_bits' must be a multiple of 128 in "
+            f"128..2048 (an SVE vector length), got {vlen!r}"
         )
     request = AlignRequest(
         id=_require_str(obj, "id"),

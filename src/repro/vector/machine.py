@@ -247,6 +247,8 @@ class VectorMachine:
         self._lat_arith = self.system.lat_vector_arith
         self._lat_pred = self.system.lat_predicate
         self._l1_ltu = self.system.l1d.load_to_use
+        self._line_bytes = self.system.l1d.line_bytes
+        self._store_visible_lat = self.system.store_to_load_visible
         self._lat_gather_base = self.system.lat_gather_base
         if self.auto_trace:
             self.attach_tracer()
@@ -1060,25 +1062,31 @@ class VectorMachine:
         self._issue("memory", occupancy, 2, deps=(idx, value, pred))
 
     def _record_store(self, addr: int, nbytes: int) -> None:
-        line = self.system.l1d.line_bytes
-        visible = self.clock + self.system.store_to_load_visible
-        first = addr - addr % line
-        for line_addr in range(first, addr + nbytes, line):
-            self._store_visible[line_addr] = visible
+        line = self._line_bytes
+        visible = self.clock + self._store_visible_lat
+        store_visible = self._store_visible
+        line_addr = addr - addr % line
+        end = addr + nbytes
+        while line_addr < end:
+            store_visible[line_addr] = visible
+            line_addr += line
 
     def _forwarding_stall(self, addr: int, nbytes: int) -> int:
         """Extra latency while an in-flight store to these lines drains."""
-        line = self.system.l1d.line_bytes
-        first = addr - addr % line
+        line = self._line_bytes
+        clock = self.clock
+        store_visible = self._store_visible
+        line_addr = addr - addr % line
+        end = addr + nbytes
         worst = 0
-        for line_addr in range(first, addr + nbytes, line):
-            visible = self._store_visible.get(line_addr)
-            if visible is None:
-                continue
-            if visible <= self.clock:
-                del self._store_visible[line_addr]
-            else:
-                worst = max(worst, visible - self.clock)
+        while line_addr < end:
+            visible = store_visible.get(line_addr)
+            if visible is not None:
+                if visible <= clock:
+                    del store_visible[line_addr]
+                elif visible - clock > worst:
+                    worst = visible - clock
+            line_addr += line
         return worst
 
     # ------------------------------------------------------------------

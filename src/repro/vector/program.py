@@ -38,10 +38,15 @@ kernel computes from the op's scalars.  A contiguous load or store
 under it has one live index range, ``max(ts, 0)`` to ``min(ts + w,
 len)``, so the emitter lowers it to two integer bounds and a slice copy
 instead of an index vector, a lane mask and a fancy-index copy.  The
-store range guard becomes ``w and ts + w > len``.  The choice follows
-the recorded op kinds alone, which the shape keys on; every other
-predicate keeps the index-vector form.  The DP chunk kernels predicate
-all of their loads and stores this way.
+store range guard becomes ``w and ts + w > len``.  A ``qzload`` under
+it whose index is a recorded unit-step ``iota`` (the op keeps its
+step) reads elements ``start .. start+w-1``: it becomes one
+``QuetzalUnit._read_run(start, w, sel, window)`` and a ``[:w]`` copy,
+with the checks, values, port occupancy and read count of the
+fancy-indexed ``_read_raw``.  The choice follows the recorded op kinds
+and lane counts alone, which the shape keys on; every other predicate
+keeps the index-vector form.  The DP chunk kernels predicate all of
+their loads, stores and QBUFFER reads this way.
 
 Captured programs live on per-pair objects, so the same block is
 captured again for every pair.  The kernel source is therefore emitted
@@ -541,7 +546,7 @@ class Recorder:
         n = len(out.data)
         base = self._bake(step * np.arange(n, dtype=np.int64))
         self.ops.append({"kind": "iota", "o": so, "start": self._scalar(start),
-                         "base": base})
+                         "step": int(step), "base": base})
         return out
 
     def from_values(self, values, ebits=32):
@@ -913,12 +918,21 @@ def _emit(shape: _Shape) -> _Emission:
 
     # Prefix predicates (see the module docstring): the whilelt outputs
     # that predicate a load or store of the same lane count (a 1-lane
-    # predicate would broadcast over a wider access).  Their whilelt
-    # keeps its clamped lane count in ``w{slot}`` for those accesses.
+    # predicate would broadcast over a wider access), or a qzload of a
+    # unit-step iota (a run read).  Their whilelt keeps its clamped lane
+    # count in ``w{slot}`` for those accesses.
     wlanes = {op["o"]: op["n"] for op in ops if op["kind"] == "whilelt"}
+    unit_iotas = {
+        op["o"]: op for op in ops if op["kind"] == "iota" and op["step"] == 1
+    }
+
+    def run_read(op) -> bool:
+        return op["i"] in unit_iotas and wlanes.get(op["p"]) == op["n"]
+
     prefix = {
         op["p"] for op in ops
-        if op["kind"] in ("load", "store") and wlanes.get(op["p"]) == op["n"]
+        if (op["kind"] in ("load", "store") and wlanes.get(op["p"]) == op["n"])
+        or (op["kind"] == "qzload" and run_read(op))
     }
 
     # ------------------------------------------------------------------
@@ -1312,7 +1326,14 @@ def _emit(shape: _Shape) -> _Emission:
         elif kind == "qzload":
             i, p, n = op["i"], op["p"], op["n"]
             sel_, win = op["sel"], op["window"]
-            if p is None or p in pall:
+            if run_read(op):
+                # Lanes 0..w-1 read elements start..start+w-1; the iota
+                # itself is dead unless something else reads it.
+                w(f"ts = {ssrc(unit_iotas[i]['start'])}")
+                w(f"traw, tq = _qz._read_run(ts, w{p}, {sel_}, {win})")
+                w(f"d{o} = _zi64({n})")
+                w(f"d{o}[:w{p}] = traw")
+            elif p is None or p in pall:
                 cond = "" if p is None else f"if g{p}:"
                 if cond:
                     w(cond)

@@ -63,9 +63,13 @@ on the divergent batch.  The lane count changes every recorded block's
 shape, so the replay kernels, the memory batches and the pattern
 memoization all see shapes the 512-bit grids never produce; the pooled
 cells prove the length travels with each work unit.  The plain vector
-families run this axis: the QUETZAL families stage sequences in
-QBUFFERs sized for 512-bit vectors, and the anti-diagonal DP kernels
-(``ksw-vec``, ``ksw-qz``) diverge from their reference at 256 bits.
+families run this axis, and two QUETZAL families: ``ksw-qz`` (the
+anti-diagonal DP chunk, one vector of 32-bit lanes, over QBUFFER runs)
+and ``wfa-qz`` (QBUFFER windows), both over sequences staged one
+vector of characters per encoder group.  A cell only matches the
+baseline at its own length, which a length-wide fault would share;
+``tests/align/test_vector_lengths.py`` checks the outputs against the
+references.
 
 The alignment service adds a sixth axis: every cell of
 
@@ -382,7 +386,10 @@ def test_kernel_cell_matches_baseline(tmp_path, name, cell, kind):
 #: The vector-length axis: its lengths, families, and
 #: (vlen_bits, use_batched_memory, use_replay, jobs) cells.
 VLENS = (256, 1024)
-VLEN_IMPLS = {"wfa-vec": WfaVec, "ss-vec": SsVec, "biwfa-vec": BiwfaVec}
+VLEN_IMPLS = {
+    "wfa-vec": WfaVec, "ss-vec": SsVec, "biwfa-vec": BiwfaVec,
+    "ksw-qz": KswQz, "wfa-qz": WfaQz,
+}
 VLEN_GRID = list(itertools.product(VLENS, (False, True), (False, True), (1, 2)))
 
 _vlen_baselines: dict = {}

@@ -88,6 +88,27 @@ class TestParse:
         with pytest.raises(ServeProtocolError, match="not UTF-8"):
             parse_request(b'{"id": "\xff\xfe"}')
 
+    @pytest.mark.parametrize("vlen", (64, 192, 2176, 2**40))
+    def test_rejects_vector_lengths_sve_cannot_have(self, vlen, monkeypatch):
+        """Checked at parse time: no machine is sized from the value."""
+        from repro.vector.machine import VectorMachine
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("a machine was built for a rejected length")
+
+        monkeypatch.setattr(VectorMachine, "__init__", no_machine)
+        with pytest.raises(ServeProtocolError) as excinfo:
+            parse_request(request_line(make_request(vlen_bits=vlen)))
+        message = str(excinfo.value)
+        assert "multiple of 128 in 128..2048" in message
+        assert repr(vlen) in message
+
+    @pytest.mark.parametrize("vlen", (128, 256, 2048))
+    def test_accepts_sve_vector_lengths(self, vlen):
+        assert parse_request(
+            request_line(make_request(vlen_bits=vlen))
+        ).vlen_bits == vlen
+
     def test_every_registered_impl_parses(self):
         for name in IMPL_REGISTRY:
             request = parse_request(json.dumps({

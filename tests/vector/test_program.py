@@ -537,10 +537,98 @@ class TestPrefixPredicate:
         assert "_ar(" in prog.source and "w0 = tw" in prog.source
 
 
+#: (pattern start, text start, count) per step of the QBUFFER run
+#: block, whose pattern count is 100 and text count 60.  Counts cover 0,
+#: partial and the lane count; runs cover word boundaries and runs that
+#: end at either buffer's configured count.
+QZ_RUN_STEPS = (
+    (10, 0, 16), (0, 44, 16), (84, 3, 16), (20, 20, 0), (5, 50, 7),
+    (33, 59, 1), (31, 30, 16), (99, 0, 0), (57, 57, 0),
+)
+
+
+class TestQzRunRead:
+    """A qzload of a unit-step iota under a prefix predicate replays as
+    one ``_read_run``; every step must leave the machine bit-identical
+    to interpreting the same block."""
+
+    @staticmethod
+    def _machine():
+        from repro.config import QZ_ESIZE_2BIT
+        from repro.eval.runner import make_machine
+        from repro.genomics.sequence import Sequence
+
+        m = make_machine(quetzal=True)
+        qz = m.quetzal
+        qz.load_sequence(0, Sequence("ACGTTGCAAC" * 10))
+        qz.load_sequence(1, Sequence("GATTACA" * 9)[:60])
+        qz.qzconf(100, 60, QZ_ESIZE_2BIT)
+        return m
+
+    @staticmethod
+    def _block(rm, s0, s1, count, step=1):
+        act = rm.whilelt(0, count)
+        qz = rm.quetzal
+        a = qz.qzload(rm.iota(32, start=s0, step=step), 0, pred=act)
+        b = qz.qzload(rm.iota(32, start=s1), 1, pred=act, window=True)
+        return (a, b)
+
+    @staticmethod
+    def _state(m, outs):
+        return (
+            tuple(tuple(r.data.tolist()) for r in outs),
+            m.clock, m._max_complete, m.snapshot(), m.quetzal.reads,
+        )
+
+    def test_replay_matches_interpreter(self):
+        mi, mr = self._machine(), self._machine()
+        prog = None
+        for step, params in enumerate(QZ_RUN_STEPS):
+            want = self._block(mi, *params)
+            if prog is None:
+                got, prog = capture(mr, self._block, (), params)
+                assert prog is not None
+            else:
+                got = prog.replay(mr, (), params)
+            assert self._state(mr, got) == self._state(mi, want), (
+                f"step {step}: {params}"
+            )
+        assert prog.source.count("_qz._read_run(") == 2
+        assert "_read_raw(" not in prog.source
+
+    def test_run_past_configured_count_raises(self):
+        from repro.errors import QuetzalError
+
+        mi, mr = self._machine(), self._machine()
+        _outs, prog = capture(mr, self._block, (), (10, 0, 16))
+        with pytest.raises(QuetzalError) as want:
+            self._block(mi, 10, 50, 16)
+        with pytest.raises(QuetzalError) as got:
+            prog.replay(mr, (), (10, 50, 16))
+        assert str(got.value) == str(want.value)
+        assert "<recorded-program>" in TestStoreRangeGuard._raised_in(got)
+
+    def test_other_steps_keep_the_index_read(self):
+        """An iota of step 2 is not a run: its qzload keeps ``_read_raw``
+        and still replays bit-identically."""
+        mi, mr = self._machine(), self._machine()
+        _outs, prog = capture(
+            mr, lambda rm, *ps: self._block(rm, *ps, step=2), (), (10, 0, 16)
+        )
+        self._block(mi, 10, 0, 16, step=2)
+        for params in ((3, 40, 16), (0, 0, 5), (30, 30, 0)):
+            want = self._block(mi, *params, step=2)
+            got = prog.replay(mr, (), params)
+            assert self._state(mr, got) == self._state(mi, want)
+        assert prog.source.count("_qz._read_run(") == 1
+        assert prog.source.count("_qz._read_raw(") >= 1
+
+
 @pytest.mark.parametrize("impl", ("ksw-vec", "ksw-qz"))
 def test_dp_chunk_kernels_use_prefix_bounds(monkeypatch, impl):
     """Every DP chunk access is whilelt-predicated, so no captured chunk
-    kernel builds an index vector."""
+    kernel builds an index vector, and the QZ kernels read their
+    pattern and text as QBUFFER runs."""
     from repro.align import dp_machine
     from repro.align.quetzal_impl import KswQz
     from repro.eval.runner import make_machine
@@ -562,6 +650,9 @@ def test_dp_chunk_kernels_use_prefix_bounds(monkeypatch, impl):
     for prog in progs:
         assert "_mem.access" in prog.source
         assert "_ar(" not in prog.source
+        assert "_read_raw(" not in prog.source
+    if impl == "ksw-qz":
+        assert all("_qz._read_run(" in prog.source for prog in progs)
 
 
 # ----------------------------------------------------------------------
