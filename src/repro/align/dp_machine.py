@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.interface import Implementation
+from repro.align.interface import Implementation, PairResult
 from repro.cache import CALIBRATION
 from repro.align.smith_waterman import banded_global_affine, nw_gotoh_global
 from repro.align.types import Penalties
@@ -383,12 +383,6 @@ class DpEngine:
 
     # ------------------------------------------------------------------
     def run(self) -> int | None:
-        from repro.vector.fleet import drive_serial
-
-        return drive_serial(self.run_gen())
-
-    def run_gen(self):
-        """Generator form of :meth:`run` yielding step requests."""
         m = self.machine
         self._stage()
         if self.band < self.m + self.n and abs(self.n - self.m) > self.band:
@@ -396,7 +390,7 @@ class DpEngine:
             return None
         if self.fast:
             return self._run_fast()
-        return (yield from self._run_exact_gen())
+        return self._run_exact()
 
     def _score(self) -> int | None:
         if self.band < self.m + self.n:
@@ -406,13 +400,6 @@ class DpEngine:
         return nw_gotoh_global(self.pair.pattern, self.pair.text, self.pen)
 
     def _run_exact(self) -> int | None:
-        from repro.vector.fleet import drive_serial
-
-        return drive_serial(self._run_exact_gen())
-
-    def _run_exact_gen(self):
-        from repro.vector.fleet import FleetStep
-
         m = self.machine
         st = self.state
         # The QBUFFER-resident state backend ring-addresses with a
@@ -431,20 +418,10 @@ class DpEngine:
             m.scalar(3)
             for i0 in range(ilo, ihi + 1, lanes):
                 count = min(lanes, ihi - i0 + 1)
-                if not use_replay:
-                    self._chunk_kernel(d, i0, count)
-                    continue
-                if programs.get(d % 6) is None:
-                    # First sighting of this phase (capture) or a broken
-                    # capture: run this chunk inline.
+                if use_replay:
                     self._chunk_replay(d, i0, count, programs)
                 else:
-                    yield FleetStep(
-                        m,
-                        lambda d=d, i0=i0, count=count: self._chunk_replay(
-                            d, i0, count, programs
-                        ),
-                    )
+                    self._chunk_kernel(d, i0, count)
             self._poison_band_edges(d, ilo, ihi)
         final = st.peek("h", 0, self.m)
         if final >= _INF:
@@ -581,7 +558,7 @@ class KswVec(Implementation):
             return self.band
         return default_band(pair, self.band_frac)
 
-    def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
+    def run_pair(self, machine: VectorMachine, pair: SequencePair) -> PairResult:
         before = machine.snapshot()
         if len(pair.pattern) == 0 or len(pair.text) == 0:
             machine.scalar(4)
@@ -590,7 +567,7 @@ class KswVec(Implementation):
             machine, pair, band=self._band_for(pair), penalties=self.pen,
             use_quetzal=self.style in ("qz", "qzc"), fast=self.fast,
         )
-        score = yield from engine.run_gen()
+        score = engine.run()
         return self._wrap(machine, before, score)
 
 
@@ -606,7 +583,7 @@ class ParasailNwVec(Implementation):
         self.pen = penalties or Penalties()
         self.fast = fast
 
-    def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
+    def run_pair(self, machine: VectorMachine, pair: SequencePair) -> PairResult:
         before = machine.snapshot()
         if len(pair.pattern) == 0 or len(pair.text) == 0:
             machine.scalar(4)
@@ -615,5 +592,5 @@ class ParasailNwVec(Implementation):
             machine, pair, band=None, penalties=self.pen,
             use_quetzal=self.style in ("qz", "qzc"), fast=self.fast,
         )
-        score = yield from engine.run_gen()
+        score = engine.run()
         return self._wrap(machine, before, score)

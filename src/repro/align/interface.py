@@ -57,30 +57,8 @@ class Implementation(ABC):
         return self.style == "qzc"
 
     def run_pair(self, machine: VectorMachine, pair: SequencePair) -> PairResult:
-        """Simulate one pair; returns its timing delta and functional output.
-
-        Implementations override either this method (fully serial) or
-        :meth:`run_pair_gen` (a pair fiber); the default of each
-        delegates to the other, so overriding one is enough.
-        """
-        from repro.vector.fleet import drive_serial
-
-        return drive_serial(self.run_pair_gen(machine, pair))
-
-    def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
-        """Generator form of :meth:`run_pair`.
-
-        Yields :class:`~repro.vector.fleet.FleetStep` requests at block
-        boundaries and returns the :class:`PairResult`.  The default
-        never yields: the whole pair runs the moment the fiber is first
-        advanced.
-        """
-        if type(self).run_pair is Implementation.run_pair:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override run_pair or run_pair_gen"
-            )
-        return self.run_pair(machine, pair)
-        yield  # pragma: no cover - marks this as a generator function
+        """Simulate one pair; returns its timing delta and functional output."""
+        raise NotImplementedError(f"{type(self).__name__} must override run_pair")
 
     def _wrap(
         self, machine: VectorMachine, before: MachineStats, output: Any

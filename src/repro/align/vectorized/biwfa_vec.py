@@ -14,13 +14,13 @@ this simplification.
 
 from __future__ import annotations
 
-from repro.align.interface import Implementation
+from repro.align.interface import Implementation, PairResult
 from repro.align.vectorized.extend_loop import VecExtendKernel
 from repro.align.vectorized.wfa_vec import FAST_LENGTH_THRESHOLD
 from repro.align.vectorized.wavefront_machine import (
     INV_THRESH,
     MachineWavefront,
-    extend_wave_with_kernel_gen,
+    extend_wave_with_kernel,
     init_root_wave,
     next_machine_wave,
 )
@@ -73,7 +73,7 @@ class BiwfaVec(Implementation):
         self.fast = fast
         self.max_score = max_score
 
-    def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
+    def run_pair(self, machine: VectorMachine, pair: SequencePair) -> PairResult:
         before = machine.snapshot()
         m_len, n_len = len(pair.pattern), len(pair.text)
         if m_len == 0 or n_len == 0:
@@ -95,31 +95,31 @@ class BiwfaVec(Implementation):
         cost_model = fwd_kernel.cost_model(machine) if fast else None
         z = n_len - m_len
 
-        def extend_fwd(wave: MachineWavefront):
-            return extend_wave_with_kernel_gen(
+        def extend_fwd(wave: MachineWavefront) -> None:
+            extend_wave_with_kernel(
                 machine, wave, fwd_kernel, consts, fast, cost_model
             )
 
-        def extend_bwd(wave: MachineWavefront):
-            return extend_wave_with_kernel_gen(
+        def extend_bwd(wave: MachineWavefront) -> None:
+            extend_wave_with_kernel(
                 machine, wave, bwd_kernel, consts, fast, cost_model
             )
 
         fwd = init_root_wave(machine)
-        yield from extend_fwd(fwd)
+        extend_fwd(fwd)
         bwd = init_root_wave(machine)
-        yield from extend_bwd(bwd)
+        extend_bwd(bwd)
         s_f = s_b = 0
         while not account_overlap_scan(machine, fwd, bwd, n_len, z):
             if self.max_score is not None and s_f + s_b >= self.max_score:
                 raise AlignmentError("BiWFA exceeded max_score")
             if s_f <= s_b:
                 fwd = next_machine_wave(machine, fwd, m_len, n_len)
-                yield from extend_fwd(fwd)
+                extend_fwd(fwd)
                 s_f += 1
             else:
                 bwd = next_machine_wave(machine, bwd, m_len, n_len)
-                yield from extend_bwd(bwd)
+                extend_bwd(bwd)
                 s_b += 1
         machine.scalar(8)  # breakpoint extraction bookkeeping
         return self._wrap(machine, before, s_f + s_b)

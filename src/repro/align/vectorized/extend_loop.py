@@ -40,7 +40,6 @@ import numpy as np
 from repro.cache import CALIBRATION
 from repro.config import SystemConfig
 from repro.errors import MachineError
-from repro.vector.fleet import FleetStep, drive_serial
 from repro.vector.machine import VectorMachine
 from repro.vector.program import ReplaySession
 from repro.vector.register import Pred, SimBuffer, VReg
@@ -182,14 +181,15 @@ def vec_extend(
     return st.v, st.h
 
 
-def interleave_requests(machine: VectorMachine, chunks: list, step):
-    """Generator core of :func:`run_interleaved`.
+def run_interleaved(machine: VectorMachine, chunks: list, step) -> None:
+    """Round-robin one iteration of every live chunk (software pipelining).
 
-    Yields one :class:`~repro.vector.fleet.FleetStep` running
-    ``step(state)`` per live chunk per round.  The driver *executes*
-    the request before resuming the generator, so the ``POR``/``ptest``
-    guard sequence after each ``yield`` sees the post-step ``inb`` —
-    per-machine op order is exactly the inline loop's.
+    ``chunks`` holds :class:`ChunkState` objects after :func:`enter_extend`;
+    ``step(state)`` emits one loop-body iteration.  Each round issues
+    every live chunk's body back-to-back, so the scoreboard hides one
+    chunk's latency chain under the others'; the round loop branches
+    once per round on a combined live predicate (one ``POR`` per chunk +
+    a single predicted test), so only the final wave exit mispredicts.
     """
     combined = None
     live = []
@@ -202,25 +202,10 @@ def interleave_requests(machine: VectorMachine, chunks: list, step):
     while live:
         combined = None
         for st in live:
-            yield FleetStep(machine, lambda st=st: step(st))
+            step(st)
             combined = st.inb if combined is None else machine.por(combined, st.inb)
         machine.ptest_spec(combined)
         live = [c for c in live if c.alive]
-
-
-def run_interleaved(machine: VectorMachine, chunks: list, step_fn) -> None:
-    """Round-robin one iteration of every live chunk (software pipelining).
-
-    ``chunks`` holds :class:`ChunkState` objects after :func:`enter_extend`;
-    ``step_fn(machine, state)`` emits one loop-body iteration.  Each round
-    issues every live chunk's body back-to-back, so the scoreboard hides
-    one chunk's latency chain under the others'; the round loop branches
-    once per round on a combined live predicate (one ``POR`` per chunk +
-    a single predicted test), so only the final wave exit mispredicts.
-    """
-    drive_serial(
-        interleave_requests(machine, chunks, lambda st: step_fn(machine, st))
-    )
 
 
 # ----------------------------------------------------------------------
@@ -643,28 +628,7 @@ def extend_chunks(
 
     Slow mode interleaves every chunk's loop (software pipelining);
     fast mode derives iteration counts from run lengths and replays the
-    measured wave bound.  This is the inline driver over
-    :func:`extend_chunks_gen`.
-    """
-    return drive_serial(
-        extend_chunks_gen(machine, kernel, consts, chunks, fast, cost_model)
-    )
-
-
-def extend_chunks_gen(
-    machine: VectorMachine,
-    kernel: ExtendKernel,
-    consts: ExtendConsts,
-    chunks: list[tuple[VReg, VReg, Pred]],
-    fast: bool,
-    cost_model: LoopCostModel | None = None,
-):
-    """Generator form of :func:`extend_chunks` yielding step requests.
-
-    Each loop-body iteration is yielded as a
-    :class:`~repro.vector.fleet.FleetStep`; the fast path never
-    yields.  Returns the same per-chunk ``(h', runs)`` list (via
-    ``StopIteration.value`` / ``yield from``).
+    measured wave bound.
     """
     if not chunks:
         return []
@@ -690,7 +654,7 @@ def extend_chunks_gen(
             step = cached[2].step
         else:
             step = lambda ss: kernel.step(machine, consts, ss)  # noqa: E731
-        yield from interleave_requests(machine, states, step)
+        run_interleaved(machine, states, step)
         out = []
         for st, (v, h, valid) in zip(states, chunks):
             out.append((st.h, st.h.data - h.data))

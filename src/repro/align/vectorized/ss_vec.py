@@ -8,17 +8,16 @@ a serialising horizontal-max picks the snake's next segment.
 
 from __future__ import annotations
 
-from repro.align.interface import Implementation
+from repro.align.interface import Implementation, PairResult
 from repro.align.sneakysnake import SneakySnakeResult
 from repro.align.vectorized.extend_loop import (
     ExtendKernel,
     VecExtendKernel,
-    extend_chunks_gen,
+    extend_chunks,
 )
 from repro.align.vectorized.wfa_vec import FAST_LENGTH_THRESHOLD
 from repro.errors import AlignmentError
 from repro.genomics.generator import SequencePair
-from repro.vector.fleet import FleetStep, drive_serial
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER, ReplaySession, capture
 
@@ -32,20 +31,6 @@ def run_snake(
     fast: bool,
 ) -> SneakySnakeResult:
     """The greedy snake loop over diagonal chunks (shared by all styles)."""
-    return drive_serial(
-        run_snake_gen(machine, kernel, n, n_text, threshold, fast)
-    )
-
-
-def run_snake_gen(
-    machine: VectorMachine,
-    kernel: ExtendKernel,
-    n: int,
-    n_text: int,
-    threshold: int,
-    fast: bool,
-):
-    """Generator form of :func:`run_snake` yielding step requests."""
     m = machine
     consts = kernel.consts(m, n, n_text)
     cost_model = kernel.cost_model(m) if fast else None
@@ -84,19 +69,12 @@ def run_snake_gen(
                 outs = column_setup(m, col)
                 REPLAY_METER.interpreted_blocks += 1
             else:
-                holder = {}
-
-                def run_setup(col=col, holder=holder):
-                    REPLAY_METER.total_blocks += 1
-                    outs = setup_prog.replay(m, (), (col,))
-                    if outs is None:
-                        outs = column_setup(m, col)
-                        REPLAY_METER.interpreted_blocks += 1
-                        REPLAY_METER.interpreted_instructions += setup_prog.n_ops
-                    holder["outs"] = outs
-
-                yield FleetStep(m, run_setup)
-                outs = holder["outs"]
+                REPLAY_METER.total_blocks += 1
+                outs = setup_prog.replay(m, (), (col,))
+                if outs is None:
+                    outs = column_setup(m, col)
+                    REPLAY_METER.interpreted_blocks += 1
+                    REPLAY_METER.interpreted_instructions += setup_prog.n_ops
         else:
             outs = column_setup(m, col)
         vcol = outs[0]
@@ -106,9 +84,7 @@ def run_snake_gen(
             h, valid = outs[1 + 2 * i], outs[2 + 2 * i]
             chunks.append((vcol, h, valid))
             metas.append((h, valid))
-        results = yield from extend_chunks_gen(
-            m, kernel, consts, chunks, fast, cost_model
-        )
+        results = extend_chunks(m, kernel, consts, chunks, fast, cost_model)
         best = 0
         for (h, valid), (h2, _runs) in zip(metas, results):
             cnt = m.sub(h2, h)
@@ -155,7 +131,7 @@ class SsVec(Implementation):
             return self.threshold
         return max(1, int(len(pair.pattern) * self.threshold_frac))
 
-    def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
+    def run_pair(self, machine: VectorMachine, pair: SequencePair) -> PairResult:
         before = machine.snapshot()
         m = machine
         n = len(pair.pattern)
@@ -171,7 +147,5 @@ class SsVec(Implementation):
         pbuf = m.new_buffer(f"ss_p{uid}", pair.pattern.codes, elem_bytes=1)
         tbuf = m.new_buffer(f"ss_t{uid}", pair.text.codes, elem_bytes=1)
         kernel = VecExtendKernel(pbuf, tbuf)
-        result = yield from run_snake_gen(
-            m, kernel, n, len(pair.text), threshold, fast
-        )
+        result = run_snake(m, kernel, n, len(pair.text), threshold, fast)
         return self._wrap(m, before, result)

@@ -158,23 +158,7 @@ def extend_wave_with_kernel(
     one measured wave bound (fast mode) by
     :func:`repro.align.vectorized.extend_loop.extend_chunks`.
     """
-    from repro.vector.fleet import drive_serial
-
-    drive_serial(
-        extend_wave_with_kernel_gen(machine, wave, kernel, consts, fast, cost_model)
-    )
-
-
-def extend_wave_with_kernel_gen(
-    machine: VectorMachine,
-    wave: MachineWavefront,
-    kernel,
-    consts,
-    fast: bool,
-    cost_model=None,
-):
-    """Generator form of :func:`extend_wave_with_kernel` (step requests)."""
-    from repro.align.vectorized.extend_loop import extend_chunks_gen
+    from repro.align.vectorized.extend_loop import extend_chunks
 
     m = machine
     lanes = m.lanes(64)
@@ -190,9 +174,7 @@ def extend_wave_with_kernel_gen(
     valids = [m.cmp("gt", off, INV_THRESH, pred=a) for off, a in zip(offs, acts)]
     vs = [m.sub(off, k, pred=va) for off, k, va in zip(offs, kvecs, valids)]
     chunks = list(zip(vs, offs, valids))
-    results = yield from extend_chunks_gen(
-        m, kernel, consts, chunks, fast, cost_model
-    )
+    results = extend_chunks(m, kernel, consts, chunks, fast, cost_model)
     for k0, act, (h2, _runs) in zip(starts, acts, results):
         m.store(wave.buf, wave.pos(k0), h2, pred=act)
 
@@ -208,42 +190,16 @@ def run_wavefront_loop(
     max_score: int | None = None,
 ) -> tuple[int, list[MachineWavefront]]:
     """The top-level WFA loop: extend, check, recurse. Returns (s, waves)."""
-    from repro.vector.fleet import drive_serial
-
-    def extend_gen(mach, wv):
-        extend_wave(mach, wv)
-        return
-        yield  # pragma: no cover - marks this as a generator
-
-    return drive_serial(
-        run_wavefront_loop_gen(machine, m_len, n_len, extend_gen, max_score)
-    )
-
-
-def run_wavefront_loop_gen(
-    machine: VectorMachine,
-    m_len: int,
-    n_len: int,
-    extend_wave_gen,
-    max_score: int | None = None,
-):
-    """Generator form of :func:`run_wavefront_loop`.
-
-    ``extend_wave_gen(machine, wave)`` returns a generator yielding
-    step requests (e.g. :func:`extend_wave_with_kernel_gen`); the
-    wavefront recurrence and termination checks between waves run
-    serially when the driver resumes this fiber.
-    """
     k_end = n_len - m_len
     wave = init_root_wave(machine)
-    yield from extend_wave_gen(machine, wave)
+    extend_wave(machine, wave)
     waves = [wave]
     s = 0
     while not check_termination(machine, wave, k_end, n_len):
         if max_score is not None and s >= max_score:
             raise AlignmentError(f"wavefront loop exceeded max_score={max_score}")
         wave = next_machine_wave(machine, wave, m_len, n_len)
-        yield from extend_wave_gen(machine, wave)
+        extend_wave(machine, wave)
         waves.append(wave)
         s += 1
     return s, waves

@@ -9,13 +9,13 @@ ones.
 
 from __future__ import annotations
 
-from repro.align.interface import Implementation
+from repro.align.interface import Implementation, PairResult
 from repro.align.vectorized.extend_loop import VecExtendKernel
 from repro.align.vectorized.wavefront_machine import (
     MachineWavefront,
     account_traceback,
-    extend_wave_with_kernel_gen,
-    run_wavefront_loop_gen,
+    extend_wave_with_kernel,
+    run_wavefront_loop,
 )
 from repro.genomics.generator import SequencePair
 from repro.vector.machine import VectorMachine
@@ -56,7 +56,7 @@ class WfaVec(Implementation):
             return self.fast
         return pair.max_length > FAST_LENGTH_THRESHOLD
 
-    def run_pair_gen(self, machine: VectorMachine, pair: SequencePair):
+    def run_pair(self, machine: VectorMachine, pair: SequencePair) -> PairResult:
         before = machine.snapshot()
         m_len, n_len = len(pair.pattern), len(pair.text)
         if m_len == 0 or n_len == 0:
@@ -68,13 +68,11 @@ class WfaVec(Implementation):
         consts = kernel.consts(machine, m_len, n_len)
         cost_model = kernel.cost_model(machine) if fast else None
 
-        def extend_gen(mach: VectorMachine, wave: MachineWavefront):
-            return extend_wave_with_kernel_gen(
-                mach, wave, kernel, consts, fast, cost_model
-            )
+        def extend(mach: VectorMachine, wave: MachineWavefront) -> None:
+            extend_wave_with_kernel(mach, wave, kernel, consts, fast, cost_model)
 
-        distance, waves = yield from run_wavefront_loop_gen(
-            machine, m_len, n_len, extend_gen, max_score=self.max_score
+        distance, waves = run_wavefront_loop(
+            machine, m_len, n_len, extend, max_score=self.max_score
         )
         if self.traceback:
             account_traceback(machine, waves, distance)

@@ -7,7 +7,6 @@ Usage::
     python -m repro all --scale 0.1 --jobs 8 --verbose
     python -m repro fig4 --emit-json results/fig4.json --emit-csv results/fig4.csv
     python -m repro compare results/baselines/fig4.json results/fig4.json
-    python -m repro bench --quick --check
     python -m repro serve --unix /tmp/repro.sock --max-batch 16
     python -m repro serve --smoke
 
@@ -35,7 +34,6 @@ from pathlib import Path
 
 from repro.cache import CALIBRATION, configure_from_env
 from repro.errors import ReproError
-from repro.eval import bench
 from repro.eval import experiments as ex
 from repro.eval import records, supervise, timing
 from repro.eval.compare import Tolerances, compare_records, render_drifts
@@ -249,99 +247,6 @@ def build_compare_parser() -> argparse.ArgumentParser:
         help="compare only machine statistics, not the rendered rows",
     )
     return parser
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Benchmark the execution fast paths against their "
-        "slow legs: batched memory against the per-lane serial walk, "
-        "replay against the interpreter (bit-identical statistics "
-        "enforced).",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink repetition counts (CI smoke setting)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=bench.DEFAULT_OUT,
-        help=f"report destination (default {bench.DEFAULT_OUT})",
-    )
-    parser.add_argument(
-        "--only",
-        metavar="WORKLOAD",
-        action="append",
-        default=None,
-        help="run a subset (repeatable); choose from "
-        "stride_sweep, random_gather, wfa_extend, fig4_cell, "
-        "replay_extend, replay_ss, serve (service-level load points; "
-        "not in the default set — see results/BENCH_serve.json)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 if statistics diverge or a gated workload "
-        "(stride_sweep and the replay workloads) regressed",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="also gate speedups against a committed report "
-        "(results/BENCH_*.json): exit 1 on a shared workload more than "
-        "--tolerance below its committed speedup",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="allowed relative speedup regression for --baseline "
-        "(default 0.10)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="N",
-        type=int,
-        default=None,
-        help="instead of timing, run each workload once under cProfile "
-        "and print the top N functions by cumulative time",
-    )
-    parser.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="disable the replay engine for the default execution paths "
-        "(the replay_* workloads still toggle it per leg)",
-    )
-    return parser
-
-
-def bench_main(argv: "list[str]") -> int:
-    """``python -m repro bench [--quick] [--only W] [--check] [--out P]``."""
-    args = build_bench_parser().parse_args(argv)
-    if args.no_replay:
-        _disable_replay()
-    if args.profile is not None:
-        print(bench.profile_bench(top=args.profile, quick=args.quick, only=args.only))
-        return 0
-    report = bench.run_bench(quick=args.quick, out=args.out, only=args.only)
-    print(bench.render_report(report))
-    failures = []
-    if args.check:
-        failures.extend(bench.check_report(report))
-    if args.baseline is not None:
-        import json
-
-        baseline = json.loads(Path(args.baseline).read_text())
-        failures.extend(
-            bench.check_regression(report, baseline, tolerance=args.tolerance)
-        )
-    for failure in failures:
-        print(f"BENCH FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def compare_main(argv: "list[str]") -> int:
@@ -564,12 +469,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if argv[:1] == ["compare"]:
         try:
             return compare_main(argv[1:])
-        except ReproError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if argv[:1] == ["bench"]:
-        try:
-            return bench_main(argv[1:])
         except ReproError as exc:
             print(str(exc), file=sys.stderr)
             return 2

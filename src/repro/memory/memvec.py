@@ -33,7 +33,7 @@ class MemVecMeter:
     """Process-global counters for pattern memoization.
 
     Snapshot/reset ride :class:`repro.vector.program.ReplayMeter` so the
-    numbers land in every timing report and bench record.
+    numbers land in every timing report.
     """
 
     __slots__ = (

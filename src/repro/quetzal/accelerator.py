@@ -47,6 +47,26 @@ _ELEMENT_SCAN = {
 }
 
 
+def staging_error(vlen_bits: int, encoded_bits: int) -> str | None:
+    """Why ``encoded_bits``-bit symbols cannot be staged into a QBUFFER
+    by a ``vlen_bits``-bit machine, or ``None`` if they can.
+
+    Encoder writes are whole 64-bit words, so a 2-bit group (one vector
+    of characters) that is not a whole number of 32-code words would
+    splice into its neighbour's: 2-bit staging needs a multiple of 256
+    bits.  8-bit staging writes one word per 8 characters and runs at
+    every SVE length.
+    """
+    chars = vlen_bits // 8
+    if encoded_bits == 2 and chars % 32:
+        return (
+            f"2-bit staging needs whole 64-bit words per vector: a "
+            f"{vlen_bits}-bit vector encodes {chars} characters (use a "
+            f"multiple of 256 bits)"
+        )
+    return None
+
+
 class QuetzalUnit:
     """One QUETZAL instance attached to one simulated core."""
 
@@ -98,11 +118,30 @@ class QuetzalUnit:
     # ------------------------------------------------------------------
     # Writing data in
     # ------------------------------------------------------------------
-    def qzencode(self, sel: int, val: VReg, group_index: int) -> None:
-        """Encode a character vector and store 128 encoded bits (2-bit mode)."""
+    def qzencode(
+        self, sel: int, val: VReg, group_index: int, count: int | None = None
+    ) -> None:
+        """Encode character group ``group_index`` into QBUFFER ``sel``
+        (2-bit mode).
+
+        A group is one vector of ``chars_per_vector`` characters and
+        lands at the word of its first character.  Only the first
+        ``count`` characters are encoded (default: the whole vector), so
+        a sequence's tail group writes only its own words.  Each encoder
+        write takes one cycle and at most two words (one 128-bit
+        output), so a vector over 512 bits takes one write per two words.
+        """
         self.ctrl.check_select(sel)
-        words = self.encoder.encode_2bit(val.data.astype(np.uint64))
-        cycles = self.qbuf[sel].write_encoded(group_index, words)
+        reason = staging_error(self.encoder.vlen_bits, 2)
+        if reason is not None:
+            raise QuetzalError(reason)
+        chars = val.data if count is None else val.data[:count]
+        words = self.encoder.encode_2bit(chars.astype(np.uint64))
+        first = group_index * self.encoder.chars_per_vector // 32
+        qbuf = self.qbuf[sel]
+        cycles = 0
+        for k in range(0, len(words), 2):
+            cycles += qbuf.write_encoded_at(first + k, words[k : k + 2])
         self.machine._issue("qbuffer", cycles, 1, deps=(val,))
 
     def qzstore(self, val: VReg, idx: VReg, sel: int, pred: Pred | None = None) -> None:
@@ -118,12 +157,10 @@ class QuetzalUnit:
         """Stage a whole sequence into a QBUFFER (counted, per Section V-B).
 
         Issues one unit-stride load of ``lanes(8)`` characters per group,
-        then qzencode writes (2-bit alphabets) or one word-group write
-        (8-bit alphabets).  A group lands at the word of its first
-        character; a 2-bit group longer than one 128-bit encoder output
-        (vectors over 512 bits) takes one encoder write per two words.
-        The paper's reported QUETZAL times include exactly this staging
-        cost.
+        then one :meth:`qzencode` (2-bit alphabets) or one word-group
+        write (8-bit alphabets).  A group lands at the word of its first
+        character.  The paper's reported QUETZAL times include exactly
+        this staging cost.
         """
         self.ctrl.check_select(sel)
         ebits = seq.alphabet.encoded_bits
@@ -132,17 +169,11 @@ class QuetzalUnit:
             raise QuetzalError(
                 f"sequence of {len(seq)} symbols exceeds QBUFFER capacity {cap}"
             )
+        reason = staging_error(self.encoder.vlen_bits, ebits)
+        if reason is not None:
+            raise QuetzalError(reason)
         chunk = self.encoder.chars_per_vector
-        if ebits == 2 and chunk % 32:
-            # Encoder writes are whole words: a group that is not a whole
-            # number of 32-code words would splice into its neighbour's.
-            raise QuetzalError(
-                f"2-bit staging needs whole 64-bit words per vector: a "
-                f"{self.encoder.vlen_bits}-bit vector encodes {chunk} "
-                f"characters (use a multiple of 256 bits)"
-            )
         m = self.machine
-        qbuf = self.qbuf[sel]
         name = f"seq:{sel}:{m.name_uid('seq')}"
         src = m.new_buffer(name, seq.hw_codes if ebits == 8 else
                            np.frombuffer(str(seq).encode("ascii"), dtype=np.uint8),
@@ -151,15 +182,11 @@ class QuetzalUnit:
             vec = m.load(src, start, ebits=8, stream_id=stream_id)
             n = min(chunk, len(seq) - start)
             if ebits == 2:
-                words = self.encoder.encode_2bit(vec.data[:n].astype(np.uint64))
-                first = start // 32
-                cycles = 0
-                for k in range(0, len(words), 2):
-                    cycles += qbuf.write_encoded_at(first + k, words[k : k + 2])
+                self.qzencode(sel, vec, start // chunk, n)
             else:
                 words = self.encoder.encode_8bit(vec.data[:n].astype(np.uint64))
-                cycles = qbuf.write_words(start // 8, words)
-            m._issue("qbuffer", cycles, 1, deps=(vec,))
+                cycles = self.qbuf[sel].write_words(start // 8, words)
+                m._issue("qbuffer", cycles, 1, deps=(vec,))
 
     def load_values(self, sel: int, values: np.ndarray) -> None:
         """Stage 64-bit values (histogram tables, SpMV x segments)."""

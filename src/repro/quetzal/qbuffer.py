@@ -78,12 +78,6 @@ class QBuffer:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def write_encoded(self, group_index: int, words: np.ndarray) -> int:
-        """Encoded-mode write: a 128-bit encoder output into two consecutive
-        SRAM words at position ``group_index``.  Single cycle.
-        """
-        return self.write_encoded_at(group_index * 2, words)
-
     def write_encoded_at(self, word_index: int, words: np.ndarray) -> int:
         """Encoded-mode write of at most two words (one 128-bit encoder
         output) starting at SRAM word ``word_index``.  Single cycle.

@@ -19,8 +19,8 @@ the same engines into a request/response service:
 * :mod:`repro.serve.server` — the asyncio front end: unix/TCP sockets or
   stdio framing, per-connection arrival-order response streaming, and
   graceful drain on SIGTERM.
-* :mod:`repro.serve.client` — the open-loop load generator used by the
-  ``serve`` bench workload and the CI smoke job.
+* :mod:`repro.serve.client` — the open-loop load generator and identity
+  checker used by ``repro serve --smoke``.
 
 Every response is **bit-identical** to running the same pair through the
 batch CLI on a fresh machine (``run_implementation(impl, [pair])``, one

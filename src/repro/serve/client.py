@@ -1,15 +1,15 @@
-"""Open-loop load generator and identity checker for the serve bench.
+"""Open-loop load generator and identity checker for the service.
 
 The generator is *open-loop*: request i is sent at ``start + i/rate``
 regardless of how fast responses come back, so offered load is a free
 variable and queueing delay shows up in the measured latency instead of
 silently throttling the client (the standard way to avoid coordinated
-omission).  Arrival spacing is deterministic, so a bench run is exactly
+omission).  Arrival spacing is deterministic, so a load run is exactly
 reproducible.
 
 Also provides :func:`batch_reference_records` — the batch-CLI-equivalent
-response for a request list — which the identity gate, the smoke mode,
-and the bench all compare server output against, byte for byte.
+response for a request list — which the identity gate and the smoke
+mode compare server output against, byte for byte.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ one response record per request, in order.  Execution mirrors
   fresh CLI invocation.
 
 Inline mode (``workers=0``) executes batches in-process — no fork, no
-timeout enforcement — for fast tests, the conformance grid and
-``repro bench --only serve``; injected ``kill``/``hang`` faults degrade
+timeout enforcement — for fast tests and the conformance grid;
+injected ``kill``/``hang`` faults degrade
 to retryable exceptions there because there is no worker to sacrifice.
 """
 

@@ -38,6 +38,7 @@ from repro.errors import ServeProtocolError
 from repro.eval.records import SCHEMA_VERSION, machine_record
 from repro.genomics.generator import SequencePair
 from repro.genomics.sequence import Sequence
+from repro.quetzal.accelerator import staging_error
 
 #: ``kind`` tag stamped on every serve response line.
 SERVE_RESPONSE_KIND = "repro.serve_response"
@@ -179,10 +180,20 @@ def parse_request(line: "str | bytes") -> AlignRequest:
     try:
         # Validate the sequences eagerly so alphabet errors surface as
         # protocol errors, not batch-execution crashes.
-        request.make_pair()
-        request.make_impl()
+        pair = request.make_pair()
+        needs_staging = request.make_impl().requires_quetzal
     except Exception as exc:
         raise ServeProtocolError(f"invalid request payload: {exc}")
+    if needs_staging:
+        # The QUETZAL families stage both sequences into the QBUFFERs;
+        # a length that cannot stage them would fail every attempt.
+        vlen_bits = request.system().vlen_bits
+        for seq in (pair.pattern, pair.text):
+            reason = staging_error(vlen_bits, seq.encoded_bits)
+            if reason is not None:
+                raise ServeProtocolError(
+                    f"impl {impl!r} cannot run at vlen_bits={vlen_bits}: {reason}"
+                )
     return request
 
 

@@ -75,7 +75,7 @@ class CodegenMeter:
     and are not counted.  ``compile_s`` accumulates wall time spent
     lowering + compiling on a kernel-cache miss only: it excludes
     binding, cache hits and the source emission — the compile half of
-    the compile-vs-run split the bench harness subtracts out.
+    the compile-vs-run split of the timing reports.
     ``kernel_compiles`` counts the misses of both kernel caches: every
     miss compiles once.
     """

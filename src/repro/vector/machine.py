@@ -175,16 +175,17 @@ class VectorMachine:
     #: Route gather/gather64/scatter traffic through the batched memory
     #: engine (``MemoryHierarchy.access_batch``) instead of a per-lane
     #: Python walk.  Both paths are bit-identical in statistics and
-    #: latency (enforced by tests and ``repro bench``); the serial walk
-    #: is kept for cross-checks.  Class-wide default; instances may
-    #: override.
+    #: latency (enforced by the conformance grid and
+    #: ``tests/vector/test_machine_batch.py``); the serial walk is the
+    #: oracle, and EXPERIMENTS.md's ablation times both.  Class-wide
+    #: default; instances may override.
     use_batched_memory = True
 
     #: Allow hot loops to capture their straight-line bodies once and
     #: replay them as fused programs (see :mod:`repro.vector.program`).
     #: Replay is bit-identical in statistics, clock and stall
-    #: attribution (enforced by tests and ``repro bench --check``);
-    #: disable with ``--no-replay`` or ``REPRO_NO_REPLAY=1`` (the env
+    #: attribution (enforced by the conformance grid and the fig13a and
+    #: fig15a identity checks); disable with ``--no-replay`` or ``REPRO_NO_REPLAY=1`` (the env
     #: var also reaches spawned worker processes).
     use_replay = os.environ.get("REPRO_NO_REPLAY", "") not in ("1", "true", "yes")
 
@@ -756,7 +757,7 @@ class VectorMachine:
         ):
             # Fully in-range, all lanes active: a straight slice copy,
             # no index/mask machinery (contiguous leg of the batched
-            # fast path; the legacy walk below is the bench reference).
+            # fast path; the per-lane walk below is the oracle).
             vals = buf.data[start : start + n].copy()
             lo_live, span = start, n
         else:
@@ -879,8 +880,8 @@ class VectorMachine:
         address is computed with numpy and issued as a single
         :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch`
         call, mirrored into the tracer as one ``membatch`` event.  The
-        legacy per-lane walk is kept for cross-checks and ``repro
-        bench``; both produce bit-identical statistics and latencies.
+        per-lane walk is the oracle the conformance grid compares it
+        with; both produce bit-identical statistics and latencies.
 
         Wall time spent inside the hierarchy simulation (the ``access``
         / ``access_batch_max`` calls, not the address-list preparation)
@@ -1008,8 +1009,8 @@ class VectorMachine:
             except IndexError:
                 _raise_gather64_range(buf, indices)
         else:
-            # Legacy per-lane packing walk (kept, with the serial memory
-            # walk, as the old-vs-new benchmark reference).
+            # Per-lane packing walk: with the serial memory walk, the
+            # oracle of the batched path above.
             if n_active:
                 lo, hi = int(indices.min()), int(indices.max())
                 if lo < 0 or hi >= len(buf.data):

@@ -71,6 +71,16 @@ baseline at its own length, which a length-wide fault would share;
 ``tests/align/test_vector_lengths.py`` checks the outputs against the
 references.
 
+The other ten Fig. 13a implementations — the three scalar baselines,
+``biwfa-vec``, ``wfa-qzc``, ``biwfa-qz``, ``ss-qz``, ``ss-qzc`` and both
+NW styles — run one axis of their own, so every published family is
+held to its serial oracle: every cell of
+
+    {use_batched_memory} x {use_replay}
+
+at jobs 1, on the standard batch, must reproduce the all-off serial
+baseline.
+
 The alignment service adds a sixth axis: every cell of
 
     {one batch, one batch per request} x {inline, persistent worker}
@@ -103,8 +113,18 @@ import multiprocessing
 
 import pytest
 
-from repro.align.dp_machine import KswVec
-from repro.align.quetzal_impl import BiwfaQzc, KswQz, WfaQz
+from repro.align.baseline import BiwfaBase, SsBase, WfaBase
+from repro.align.dp_machine import KswVec, ParasailNwVec
+from repro.align.quetzal_impl import (
+    BiwfaQz,
+    BiwfaQzc,
+    KswQz,
+    ParasailNwQz,
+    SsQz,
+    SsQzc,
+    WfaQz,
+    WfaQzc,
+)
 from repro.align.vectorized import BiwfaVec, SsVec, WfaVec
 from repro.cache import CALIBRATION
 from repro.config import SystemConfig
@@ -123,6 +143,16 @@ IMPLS = {"wfa-vec": WfaVec, "ss-vec": SsVec, "ksw-qz": KswQz}
 BASE_IMPLS = {
     **IMPLS, "wfa-qz": WfaQz, "biwfa-qzc": BiwfaQzc, "ksw-vec": KswVec,
 }
+
+#: The other ten Fig. 13a implementations (their own axis, below).
+PUBLISHED_IMPLS = {
+    "wfa-base": WfaBase, "wfa-qzc": WfaQzc, "biwfa-base": BiwfaBase,
+    "biwfa-vec": BiwfaVec, "biwfa-qz": BiwfaQz, "ss-base": SsBase,
+    "ss-qz": SsQz, "ss-qzc": SsQzc, "nw-vec": ParasailNwVec,
+    "nw-qz": ParasailNwQz,
+}
+#: All sixteen, by name.
+ALL_IMPLS = {**BASE_IMPLS, **PUBLISHED_IMPLS}
 
 #: (use_batched_memory, use_replay, trace, jobs) — the full grid.
 GRID = list(itertools.product((False, True), (False, True), (False, True), (1, 2)))
@@ -194,7 +224,7 @@ def baseline_for(name):
     """All-off serial reference signature, computed once per family."""
     if name not in _baselines:
         _batches[name] = pairs()
-        _baselines[name] = run_cell(BASE_IMPLS[name], _batches[name], *BASELINE)
+        _baselines[name] = run_cell(ALL_IMPLS[name], _batches[name], *BASELINE)
     return _baselines[name]
 
 
@@ -214,6 +244,24 @@ def test_cell_matches_baseline(name, cell):
         pytest.skip("pooled cells need the fork start method")
     expected = baseline_for(name)
     got = run_cell(BASE_IMPLS[name], _batches[name], batched, replay, trace, jobs)
+    assert_matches(got, expected)
+
+
+PATH_GRID = list(itertools.product((False, True), (False, True)))
+
+
+def path_cell_id(cell):
+    return f"{'batched' if cell[0] else 'serialmem'}-{'replay' if cell[1] else 'interp'}"
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_IMPLS))
+@pytest.mark.parametrize("cell", PATH_GRID, ids=path_cell_id)
+def test_published_cell_matches_baseline(name, cell):
+    batched, replay = cell
+    expected = baseline_for(name)
+    got = run_cell(
+        PUBLISHED_IMPLS[name], _batches[name], batched, replay, False, 1
+    )
     assert_matches(got, expected)
 
 
@@ -539,7 +587,7 @@ def test_serve_cell_matches_baseline(name, cell, kind):
     assert [r["output"] for r in responses] == [repr(o) for o in expected[3]]
 
 
-@pytest.mark.parametrize("name", sorted(BASE_IMPLS))
+@pytest.mark.parametrize("name", sorted(ALL_IMPLS))
 def test_baseline_is_nontrivial(name):
     """The reference itself must do real work, or the grid proves nothing."""
     sig = baseline_for(name)

@@ -29,19 +29,20 @@ class TestGeometry:
 class TestWrites:
     def test_encoded_write_single_cycle(self):
         q = QBuffer(QZ_8P)
-        cycles = q.write_encoded(0, np.array([1, 2], dtype=np.uint64))
+        cycles = q.write_encoded_at(0, np.array([1, 2], dtype=np.uint64))
         assert cycles == 1
         assert q.words[0] == 1 and q.words[1] == 2
 
-    def test_encoded_write_positions_groups(self):
+    def test_encoded_write_lands_at_its_word(self):
         q = QBuffer(QZ_8P)
-        q.write_encoded(3, np.array([9], dtype=np.uint64))
-        assert q.words[6] == 9
+        q.write_encoded_at(3, np.array([9], dtype=np.uint64))
+        assert q.words[3] == 9
+        assert q.words[2] == 0 and q.words[4] == 0
 
     def test_encoded_write_out_of_range(self):
         q = QBuffer(QZ_8P)
         with pytest.raises(QuetzalError):
-            q.write_encoded(q.n_words // 2, np.array([1, 2], dtype=np.uint64))
+            q.write_encoded_at(q.n_words - 1, np.array([1, 2], dtype=np.uint64))
 
     def test_word_write_parallel_banks(self):
         q = QBuffer(QZ_8P)

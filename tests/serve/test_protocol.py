@@ -109,6 +109,39 @@ class TestParse:
             request_line(make_request(vlen_bits=vlen))
         ).vlen_bits == vlen
 
+    @pytest.mark.parametrize("vlen", (128, 384))
+    def test_rejects_qz_at_lengths_that_cannot_stage(self, vlen, monkeypatch):
+        """``ksw-qz`` stages 2-bit sequences, which needs a multiple of
+        256 bits: rejected with the staging reason before any machine
+        exists, instead of failing every attempt of its batch."""
+        from repro.vector.machine import VectorMachine
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("a machine was built for a rejected request")
+
+        monkeypatch.setattr(VectorMachine, "__init__", no_machine)
+        with pytest.raises(ServeProtocolError) as excinfo:
+            parse_request(
+                request_line(make_request(impl="ksw-qz", vlen_bits=vlen))
+            )
+        message = str(excinfo.value)
+        assert "2-bit staging needs whole 64-bit words" in message
+        assert f"vlen_bits={vlen}" in message
+
+    @pytest.mark.parametrize("vlen", (256, 512, 1024))
+    def test_accepts_qz_at_staging_lengths(self, vlen):
+        request = parse_request(
+            request_line(make_request(impl="ksw-qz", vlen_bits=vlen))
+        )
+        assert (request.impl, request.vlen_bits) == ("ksw-qz", vlen)
+
+    @pytest.mark.parametrize("impl", ("wfa-vec", "biwfa-vec", "ss-vec"))
+    def test_accepts_vec_families_at_384_bits(self, impl):
+        request = parse_request(
+            request_line(make_request(impl=impl, vlen_bits=384))
+        )
+        assert (request.impl, request.vlen_bits) == (impl, 384)
+
     def test_every_registered_impl_parses(self):
         for name in IMPL_REGISTRY:
             request = parse_request(json.dumps({

@@ -112,7 +112,7 @@ class TestDiskLayer:
 class TestWarmVsColdRegression:
     def test_warm_run_is_not_slower_than_cold(self, tmp_path):
         """A warm disk cache must make a calibrated run faster, never
-        slower (results/BENCH_parallel.json once showed warm 49.0s vs
+        slower (a parallel-run benchmark once showed warm 49.0s vs
         cold 47.8s; the read path recomputed the key repr, SHA-256, and
         a pathlib join on every lookup).  The measurement stand-in is a
         deliberate sleep so the assertion holds on noisy machines: cold

@@ -284,45 +284,6 @@ class TestSupervisedEndToEnd:
         assert "no such run" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_bench_parser_defaults(self):
-        from repro.cli import build_bench_parser
-
-        args = build_bench_parser().parse_args([])
-        assert args.quick is False
-        assert args.check is False
-        assert args.only is None
-        assert args.out.endswith("BENCH_membatch.json")
-
-    def test_bench_parser_flags(self):
-        from repro.cli import build_bench_parser
-
-        args = build_bench_parser().parse_args(
-            ["--quick", "--check", "--only", "stride_sweep",
-             "--only", "random_gather", "--out", "x.json"]
-        )
-        assert args.quick and args.check
-        assert args.only == ["stride_sweep", "random_gather"]
-        assert args.out == "x.json"
-
-    def test_bench_quick_subset_runs(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        rc = main(
-            ["bench", "--quick", "--only", "random_gather", "--out", str(out)]
-        )
-        assert rc == 0
-        assert "random_gather" in capsys.readouterr().out
-        report = json.loads(out.read_text())
-        assert report["workloads"]["random_gather"]["stats_identical"] is True
-
-    def test_bench_unknown_workload_is_usage_error(self, tmp_path, capsys):
-        rc = main(
-            ["bench", "--only", "bogus", "--out", str(tmp_path / "b.json")]
-        )
-        assert rc == 2
-        assert "unknown bench workload" in capsys.readouterr().err
-
-
 class TestServeCommand:
     def test_serve_parser_defaults(self):
         from repro.serve.cli import build_serve_parser

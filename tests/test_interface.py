@@ -29,9 +29,8 @@ class TestImplementationProtocol:
         assert WfaQzc().requires_count_alu
 
     def test_abstract_run_pair(self):
-        # run_pair and run_pair_gen delegate to each other so subclasses
-        # may override either one; a class overriding neither fails the
-        # moment the pair is driven.
+        # Every implementation overrides run_pair; the base class fails
+        # the moment a pair is run.
         with pytest.raises(NotImplementedError):
             Implementation().run_pair(None, None)
 

@@ -1,9 +1,9 @@
 """The benchmark's tracer (``perfbench/tracing.py``) still finds every
 program name it hooks.
 
-The tracer wraps layers by name: ``drive_fleet``, every
-``run_pair_gen`` (as a generator), ``run_implementation`` and
-``make_machine``, ``capture`` and the replay methods, and it replaces
+The tracer wraps layers by name: ``drive_fleet``, every ``run_pair``,
+``run_implementation`` and ``make_machine``, ``capture`` and the replay
+methods, and it replaces
 ``repro.serve.engine.compute_batch`` with a wrapper of the shape
 ``(requests, fleet)``.  Deleting or reshaping one of those names breaks
 ``perfbench/run.py --trace 1`` without failing any other test, so this

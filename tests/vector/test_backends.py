@@ -7,7 +7,7 @@ register values, ``MachineStats``, the clock, and the tracer event
 totals — whether the kernels were just compiled or loaded from the
 disk cache.  On top of that this module pins the cache behaviour (warm hits
 with zero recompiles, corruption tolerance) and the arena's zero-alloc
-steady state, which are performance contracts the bench harness relies
+steady state, which are performance contracts the replay engine relies
 on but the end-to-end suites never observe directly.
 """
 
