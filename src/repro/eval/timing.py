@@ -10,7 +10,9 @@ instruction counts and the fused-block hit rate from
 kernels inside the window, a codegen segment reports the compile-vs-run
 wall-time split (``compile_s`` vs ``kernel_run_s``, with the
 memory-hierarchy simulation time ``mem_model_s`` broken out as a share
-of wall time), kernel-cache traffic and arena growth.  The point is a
+of wall time), per-shape builds and reuses, and arena growth.  A window
+spans every run inside it: the per-run meter reset banks each open
+window's counts before zeroing the meters.  The point is a
 stable baseline for future perf work — the numbers land in one place
 instead of being re-derived ad hoc.
 """
@@ -39,11 +41,16 @@ class ExperimentTiming:
     #: Supervisor counters (restored units, retries, degradation), only
     #: populated when the run executes under ``repro.eval.supervise``.
     supervise: "dict[str, int]" = field(default_factory=dict)
-    #: Meter snapshot at window start; refreshed by :func:`note_meter_reset`
-    #: when the replay meter is reset mid-window (``evaluate_units`` does
-    #: this per run), so the window's delta stays non-negative.
+    #: Meter snapshot at window start; refreshed by
+    #: :func:`reset_run_meters` when the replay meter is reset
+    #: mid-window (``evaluate_units`` does this per run), so the
+    #: window's delta stays non-negative.
     _replay_before: "dict | None" = field(
         default=None, repr=False, compare=False
+    )
+    #: The window's counts from before its last mid-window reset.
+    _replay_banked: dict = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     @property
@@ -93,8 +100,7 @@ class ExperimentTiming:
             f"interpreted, {self.replay_hit_rate:.0%} block hit rate"
             + (
                 f" | codegen: "
-                f"{replay.get('emissions', 0)} emissions, "
-                f"{replay.get('kernel_compiles', 0)} compiles "
+                f"{replay.get('emissions', 0)} emissions "
                 f"({replay.get('compile_s', 0.0):.2f}s), "
                 f"{replay.get('kernel_cache_hits', 0)} kernel-cache hits, "
                 f"arena +{replay.get('arena_bytes', 0) / 1024:.0f} KiB, "
@@ -102,7 +108,7 @@ class ExperimentTiming:
                 f"(mem model {replay.get('mem_model_s', 0.0):.2f}s, "
                 f"{self.mem_model_share:.0%} of wall)"
                 if replay.get("kernel_cache_hits", 0)
-                or replay.get("kernel_compiles", 0)
+                or replay.get("emissions", 0)
                 else ""
             )
             + (
@@ -155,30 +161,36 @@ def measure(name: str, jobs: int = 1):
             "misses": delta.misses,
             "stores": delta.stores,
         }
-        record.replay = REPLAY_METER.delta(record._replay_before)
+        record.replay = _window_counts(record)
         _ACTIVE.pop()
         HISTORY.append(record)
+
+
+def _window_counts(record: ExperimentTiming) -> dict:
+    """The replay-meter counts of ``record``'s window so far: its banked
+    counts plus the delta since its anchor."""
+    counts = REPLAY_METER.delta(record._replay_before)
+    for key, value in record._replay_banked.items():
+        counts[key] = counts.get(key, 0) + value
+    return counts
 
 
 def reset_run_meters() -> None:
     """Reset every process-global execution meter for a fresh run.
 
     ``REPLAY_METER.reset()`` cascades to the codegen, memvec, and
-    memory-model clocks, and :func:`note_meter_reset` re-anchors any
-    open measure windows.  ``evaluate_units`` calls this per run; direct
+    memory-model clocks.  Every open measure window first banks the
+    counts it has seen so far and then re-anchors at the fresh zero
+    state, so a window that spans several runs (an experiment's
+    ``evaluate_units`` calls) reports their sum, never a negative
+    delta.  ``evaluate_units`` calls this per run; direct
     ``run_implementation`` callers that live long (the serve engine, a
     REPL) must call it themselves, or meters accumulate across runs and
     report inflated hit rates.
     """
+    for record in _ACTIVE:
+        record._replay_banked = _window_counts(record)
     REPLAY_METER.reset()
-    note_meter_reset()
-
-
-def note_meter_reset() -> None:
-    """Called when :data:`REPLAY_METER` is reset mid-measurement (the
-    parallel engine resets it per ``evaluate_units`` run): re-anchor every
-    active measure window at the fresh zero state so deltas don't go
-    negative and the window reports only post-reset activity."""
     if _ACTIVE:
         snap = REPLAY_METER.snapshot()
         for record in _ACTIVE:
@@ -226,7 +238,7 @@ def render_report(records: "list[ExperimentTiming] | None" = None) -> str:
             "replay_instr": r.replay.get("replayed_instructions", 0),
             "interp_instr": r.replay.get("interpreted_instructions", 0),
             "replay_hit_rate": round(r.replay_hit_rate, 3),
-            "kernel_compiles": r.replay.get("kernel_compiles", 0),
+            "emissions": r.replay.get("emissions", 0),
             "kcache_hits": r.replay.get("kernel_cache_hits", 0),
             "kernel_run_s": round(r.replay.get("kernel_run_s", 0.0), 2),
             "mem_model_s": round(r.replay.get("mem_model_s", 0.0), 2),

@@ -84,12 +84,13 @@ class CacheStats:
 class Cache:
     """One level of set-associative cache with true-LRU replacement.
 
-    The internals are organised for speed on the batched demand path
-    (:meth:`repro.memory.hierarchy.MemoryHierarchy.access_batch`, which
-    reaches into them directly): a flat numpy tag array with one slot
-    per (set, way), an integer-timestamp LRU (an O(1) store per touch —
-    no ``list.remove``), a ``line -> slot`` dict for O(1) membership,
-    and a per-slot prefetched flag.  Replacement picks the smallest
+    The internals are organised for speed on the demand walks
+    (:meth:`repro.memory.hierarchy.MemoryHierarchy.access`, the batch
+    walk behind ``access_batch`` at every length, and pattern
+    memoization, all of which reach into them directly): a flat numpy
+    tag array with one slot per (set, way), an integer-timestamp LRU
+    (an O(1) store per touch — no ``list.remove``), a ``line -> slot``
+    dict for O(1) membership, and a per-slot prefetched flag.  Replacement picks the smallest
     timestamp in the set, which reproduces the previous
     ``list[list[int]]`` MRU-ordering bit for bit: timestamps are drawn
     from one monotone clock, so their order *is* the recency order.
@@ -200,7 +201,7 @@ class Cache:
         """Drop every resident line (stats are preserved).
 
         The bookkeeping arrays are cleared in place so references held
-        by the batch engines (which cache them across calls) stay valid.
+        by the batch walk (which caches them across calls) stay valid.
         """
         self._tags.fill(-1)
         self._tick[:] = [0] * len(self._tick)

@@ -12,16 +12,15 @@ runs in one frame: it trains the L1 stream entry in place, stages the
 not-yet-resident targets of the shared prefetch-target rules
 (:meth:`MemoryHierarchy._prefetch_rels`) through the L2 fill path, and
 retires each demand line with the same slot/LRU/flag updates as the
-batch engines.  Only misses and prefetch fills leave the frame.
+batch walk.  Only misses and prefetch fills leave the frame.
 :meth:`MemoryHierarchy.access_line` is an aligned one-byte ``access``.
 
-Batched requests (:meth:`MemoryHierarchy.access_batch`) have one engine
-per batch length: a plain Python walk for short batches, fronted by
-pattern memoization (:mod:`repro.memory.memvec`) that retires a repeated
-pure-hit batch shape closed-form, and a NumPy pre-pass for batches over
-64 requests that collapses same-line repeats before the exact walk.
-Both are bit-identical to the per-request :meth:`MemoryHierarchy.access`
-loop.
+Batched requests (:meth:`MemoryHierarchy.access_batch` and
+:meth:`MemoryHierarchy.access_batch_max`) take one walk at every batch
+length, :meth:`MemoryHierarchy._access_batch_scalar`, fronted by pattern
+memoization (:mod:`repro.memory.memvec`) that retires a repeated
+pure-hit batch shape closed-form.  Both are bit-identical to the
+per-request :meth:`MemoryHierarchy.access` loop.
 """
 
 from __future__ import annotations
@@ -112,10 +111,10 @@ class MemoryHierarchy:
             else None
         )
         self.requests = 0
-        # Lazily built (l1, params, ...) tuple for the scalar batch
-        # engine; invalidated whenever self.l1 is rebound (reset()).
+        # Lazily built (l1, params, ...) tuple for the batch walk;
+        # invalidated whenever self.l1 is rebound (reset()).
         self._scalar_ctx = None
-        # Hot geometry constants shared by the batch engines.
+        # Hot geometry constants shared by the demand walks.
         self._not_mask = ~(line - 1)
         self._line_bytes = line
         self._l1_lat = self.system.l1d.load_to_use
@@ -191,7 +190,7 @@ class MemoryHierarchy:
         and updated in place (``StridePrefetcher.observe``'s recurrence),
         a confident stride stages the targets of :meth:`_prefetch_rels`
         that are not resident, and each demand line then retires as in
-        :meth:`_walk_rows`.
+        :meth:`_access_batch_scalar`.
         """
         if size_bytes < 1:
             raise MemoryModelError(f"access size must be positive: {size_bytes}")
@@ -267,200 +266,17 @@ class MemoryHierarchy:
         Bit-identical to ``[self.access(a, size_bytes, stream_id) for a
         in addrs]`` — same :class:`MemoryStats`, LRU order, prefetcher
         training, and DRAM traffic — but returns the per-request latency
-        sequence as an int64 array and runs far fewer Python operations.
-
-        The stride/confidence recurrence of the L1 prefetcher is
-        precomputed over the batch with numpy, and consecutive requests
-        that (a) land on the same line as their predecessor, (b) span a
-        single line, and (c) provably emit no prefetches are
-        *collapsed*: a serial walk would score each as an L1 hit of an
-        already-MRU line at L1 load-to-use latency with no other state
-        change, so only the counters move.  Every other request — line
-        boundaries, multi-line spans, and confident accesses whose
-        look-ahead escapes their own demand lines — flows through the
-        existing sequential hit/miss/fill/prefetch logic.
+        sequence as an int64 array.  Every batch length runs
+        :meth:`_access_batch_scalar`, with pattern memoization in front.
         """
         if size_bytes < 1:
             raise MemoryModelError(f"access size must be positive: {size_bytes}")
-        arr = np.asarray(addrs, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        n = arr.size
-        l1_lat = self.system.l1d.load_to_use
-        # Prefilled with the L1 latency: every collapsed request (and
-        # every full-path all-hit request) resolves to exactly that.
-        out = np.full(n, l1_lat, dtype=np.int64)
-        if n == 0:
-            return out
-        if n <= self._SCALAR_BATCH_MAX:
-            return self._access_batch_scalar(
-                arr.tolist(), size_bytes, stream_id, out
-            )
-        line = self.system.l1d.line_bytes
-        line_mask = line - 1
-        not_mask = ~line_mask
-        offsets = arr & line_mask
-        first = arr - offsets
-        # Requests spilling past their first line can never collapse.
-        slow = offsets > line - size_bytes
-
-        pf = self._l1_prefetcher
-        strides = conf = None
-        if pf is not None:
-            state = pf.begin_batch(stream_id, int(arr[0]))
-            strides = np.empty(n, dtype=np.int64)
-            np.subtract(arr[1:], arr[:-1], out=strides[1:])
-            conf = np.empty(n, dtype=bool)
-            if state is None:
-                strides[0] = 0
-                conf[0] = False
-            else:
-                prev_addr, prev_stride = state
-                strides[0] = int(arr[0]) - prev_addr
-                conf[0] = strides[0] != 0 and strides[0] == prev_stride
-            np.logical_and(
-                strides[1:] != 0, strides[1:] == strides[:-1], out=conf[1:]
-            )
-            if conf.any():
-                # A confident access needs real prefetch handling only
-                # if some non-negative candidate escapes its own demand
-                # lines; otherwise the serial walk provably issues
-                # nothing and the access can still collapse.  For a
-                # single-line request the demand window is just `first`
-                # (multi-line requests are already on the slow path, so
-                # their value here is irrelevant).
-                escapes = np.zeros(n, dtype=bool)
-                target = arr
-                for _ in range(pf.degree):
-                    target = target + strides
-                    escapes |= (target >= 0) & ((target & not_mask) != first)
-                slow |= conf & escapes
-
-        fullproc = np.empty(n, dtype=bool)
-        fullproc[0] = True
-        np.logical_or(slow[1:], slow[:-1], out=fullproc[1:])
-        fullproc[1:] |= first[1:] != first[:-1]
-        idxs = np.flatnonzero(fullproc)
-
-        # Collapsed requests: guaranteed L1 hits of the predecessor's
-        # line.  The line is already MRU (its timestamp monotonically
-        # lags the clock without reordering any set), its prefetched
-        # flag was consumed by the run's first access, and no fills can
-        # intervene — so only these counters advance.
-        collapsed = n - idxs.size
-        l1 = self.l1
-        # Engine counter block, threaded through the row walkers:
-        # [clock, hits, misses, pf_hits, nreq, issued].
-        state = [l1._clock, collapsed, 0, 0, collapsed, 0]
-        self._walk_rows(
-            idxs.tolist(),
-            arr.tolist(),
-            first.tolist(),
-            strides.tolist() if strides is not None else None,
-            conf.tolist() if conf is not None else (),
-            out, size_bytes, stream_id, state,
-        )
-        l1._clock = state[0]
-        l1.stats.hits += state[1]
-        l1.stats.misses += state[2]
-        l1.stats.prefetch_hits += state[3]
-        self.requests += state[4]
-        if pf is not None:
-            pf.end_batch(
-                stream_id, int(arr[-1]), int(strides[-1]),
-                bool(conf[-1]), state[5],
-            )
+        arr = np.asarray(addrs, dtype=np.int64).reshape(-1)
+        # Prefilled with the L1 latency, which every hit resolves to.
+        out = np.full(arr.size, self._l1_lat, dtype=np.int64)
+        if arr.size:
+            self._access_batch_scalar(arr.tolist(), size_bytes, stream_id, out)
         return out
-
-    def _walk_rows(
-        self, rows, arr_l, first_l, strides_l, conf_l, out,
-        size_bytes, stream_id, state,
-    ):
-        """Exact scalar retirement of full-processing batch rows.
-
-        Every row of the large-batch path that the collapse rule keeps
-        walks through here, in order, so LRU and prefetcher order are
-        preserved through every fill.  ``state`` is the mutable counter
-        block ``[clock, hits, misses, pf_hits, nreq, issued]``; the
-        caller commits it to the cache.
-        """
-        l1 = self.l1
-        slot_of = l1._slot_of
-        slot_get = slot_of.get
-        tick = l1._tick
-        pf_flag = l1._pf
-        fill_from_l2 = self._fill_from_l2
-        prefetch_rels = self._prefetch_rels
-        line = self.system.l1d.line_bytes
-        not_mask = self._not_mask
-        l1_lat = self.system.l1d.load_to_use
-        size_m1 = size_bytes - 1
-        # The LRU clock lives in a local between fills; any call that
-        # can reach Cache.fill is bracketed by a flush/reload.
-        clock, hits, misses, pf_hits, nreq, issued = state
-
-        for i in rows:
-            addr_i = arr_l[i]
-            lo = first_l[i]
-            hi = (addr_i + size_m1) & not_mask
-            if conf_l and conf_l[i]:
-                rels = prefetch_rels(addr_i, lo, hi, strides_l[i])
-                if rels:
-                    issued += len(rels)
-                    l1._clock = clock
-                    for rel in rels:
-                        pf_line = lo + rel
-                        if pf_line not in slot_of:
-                            fill_from_l2(pf_line, stream_id, prefetch=True)
-                    clock = l1._clock
-            nreq += 1
-            if lo == hi:
-                slot = slot_get(lo)
-                if slot is not None:
-                    clock += 1
-                    tick[slot] = clock
-                    hits += 1
-                    if pf_flag[slot]:
-                        pf_flag[slot] = 0
-                        pf_hits += 1
-                else:
-                    misses += 1
-                    l1._clock = clock
-                    out[i] = l1_lat + fill_from_l2(lo, stream_id)
-                    clock = l1._clock
-                continue
-            line_addr = lo
-            worst = 0
-            while True:
-                slot = slot_get(line_addr)
-                if slot is not None:
-                    clock += 1
-                    tick[slot] = clock
-                    hits += 1
-                    if pf_flag[slot]:
-                        pf_flag[slot] = 0
-                        pf_hits += 1
-                    latency = l1_lat
-                else:
-                    misses += 1
-                    l1._clock = clock
-                    latency = l1_lat + fill_from_l2(line_addr, stream_id)
-                    clock = l1._clock
-                if latency > worst:
-                    worst = latency
-                if line_addr == hi:
-                    break
-                line_addr += line
-                nreq += 1
-            if worst != l1_lat:
-                out[i] = worst
-
-        state[0] = clock
-        state[1] = hits
-        state[2] = misses
-        state[3] = pf_hits
-        state[4] = nreq
-        state[5] = issued
 
     def _prefetch_rels(self, addr_i, lo, hi, stride):
         """Line-relative prefetch-target offsets of one confident access.
@@ -468,8 +284,7 @@ class MemoryHierarchy:
         The single inline of ``StridePrefetcher.observe``'s emission
         rules, bit for bit — the non-negative-target check, the
         inclusive ``[lo, hi]`` demand-window exclusion, and the in-order
-        dedup — shared by :meth:`access` and every batch engine (this
-        replaces the per-call-site copies that had drifted apart).  A
+        dedup — shared by :meth:`access` and the batch walk.  A
         positive stride from a non-negative address can only produce
         positive targets, so those scans depend on nothing but (line
         offset, stride, span) and are memoized in ``_pf_rel_cache``.
@@ -495,11 +310,6 @@ class MemoryHierarchy:
             self._pf_rel_cache[rkey] = rels
         return rels
 
-    #: Batch lengths at or below this run the scalar engine: numpy's
-    #: per-array setup costs more than a short Python loop (measured
-    #: crossover; 8- and 16-lane gathers are the common small cases).
-    _SCALAR_BATCH_MAX = 64
-
     def access_batch_max(
         self, addrs, size_bytes: int = 1, stream_id: int = 0
     ) -> int:
@@ -509,23 +319,16 @@ class MemoryHierarchy:
         to the serial loop), returning only ``max()`` of the per-request
         latencies — the lean entry for gather/scatter accounting, which
         exposes nothing but the slowest lane.  Returns 0 for an empty
-        batch.  Routes through the same engines as
-        :meth:`access_batch`: the scalar walk (with pattern
-        memoization) for short batches, the vectorized classifier for
-        long ones — there is no separate retirement loop to drift.
+        batch.  Runs the same walk as :meth:`access_batch`, without
+        materialising the per-request latencies.
         """
-        n = len(addrs)
-        if n == 0:
+        if not isinstance(addrs, list):
+            addrs = np.asarray(addrs, dtype=np.int64).reshape(-1).tolist()
+        if not addrs:
             return 0
-        if n <= self._SCALAR_BATCH_MAX:
-            if size_bytes < 1:
-                raise MemoryModelError(
-                    f"access size must be positive: {size_bytes}"
-                )
-            if not isinstance(addrs, list):
-                addrs = np.asarray(addrs, dtype=np.int64).tolist()
-            return self._access_batch_scalar(addrs, size_bytes, stream_id, None)
-        return int(self.access_batch(addrs, size_bytes, stream_id).max())
+        if size_bytes < 1:
+            raise MemoryModelError(f"access size must be positive: {size_bytes}")
+        return self._access_batch_scalar(addrs, size_bytes, stream_id, None)
 
     def _access_batch_scalar(
         self,
@@ -534,12 +337,14 @@ class MemoryHierarchy:
         stream_id: int,
         out: "np.ndarray | None",
     ):
-        """Scalar engine behind :meth:`access_batch` for short batches.
+        """The walk behind :meth:`access_batch` and
+        :meth:`access_batch_max`, at every batch length.
 
-        Identical state evolution to the vectorized engine — the stride
-        recurrence is carried element to element, and consecutive
-        same-line single-line non-confident requests short-circuit to
-        collapsed L1 hits — just without any numpy setup.  With
+        Identical state evolution to the per-request :meth:`access`
+        loop: the stride recurrence is carried element to element, and
+        a single-line, non-confident request on its predecessor's line
+        short-circuits to a collapsed L1 hit (that line is already MRU
+        and no fill can intervene, so only the counters move).  With
         ``out=None`` the per-request latencies are not materialised and
         the worst one is returned instead (:meth:`access_batch_max`).
         """

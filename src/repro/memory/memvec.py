@@ -1,4 +1,4 @@
-"""Pattern memoization for the memory-hierarchy model's short batches.
+"""Pattern memoization for the memory-hierarchy model's batches.
 
 Replay-loop kernels issue the *same shaped* short gather over and over:
 identical address-delta stream, identical line offset, identical
@@ -7,9 +7,9 @@ are touched in what order, how many ticks the LRU clock advances, which
 prefetch targets are staged, what the stream entry ends up holding — is
 a pure function of the shape; only *hit or miss* depends on cache
 contents.  So :func:`replay_batch` keys the shape like the replay JIT's
-kernel cache (``(line offset, stride hand-off, size, delta stream)``),
-compiles it once into a closed-form :class:`_Pattern` on its second
-sighting, and replays it whenever validation shows the batch is a
+per-shape kernel table (``(line offset, stride hand-off, size, delta
+stream)``), compiles it once into a closed-form :class:`_Pattern` on its
+second sighting, and replays it whenever validation shows the batch is a
 pure-hit run: every demand line resident, every emitted prefetch target
 resident (a resident target is skipped by the fill loop with zero state
 change), and the recorded sign decisions still valid at the new base
@@ -182,7 +182,7 @@ DECLINED = -1  # existing pattern's validation declined
 
 
 def replay_batch(hier, arr, size_bytes, stream_id, pf, line, degree):
-    """Retire one short batch closed-form if its shape is memoized and
+    """Retire one batch closed-form if its shape is memoized and
     validation passes; returns a disposition code.
 
     ``arr`` is the plain-int address list the scalar engine was handed;

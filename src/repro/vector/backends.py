@@ -2,9 +2,9 @@
 
 :mod:`repro.vector.program` lowers a captured trace to a
 :class:`KernelIR` (the head/body/tail source lines plus everything known
-about the recording's register slots); :func:`emit` turns that IR into
-the callable kernel.  The emitter is a source-level optimizer over the
-IR's neutral source:
+about the recording's register slots); :func:`build` turns that IR
+into compiled code and :func:`link` into the callable kernel.  The
+emitter is a source-level optimizer over the IR's neutral source:
 
 * **CSE** — structurally identical pure right-hand sides are replaced
   with an alias of the first computation (invalidated the moment any
@@ -31,9 +31,11 @@ kernel to the interpreter: the rewrites change *how* values are
 computed, never the values, the clock arithmetic, or the counter
 updates.
 
-Emitted kernels are memoized on the neutral source and persisted to a
-CRC-guarded on-disk cache under ``.repro_cache/kernels/`` — see
-:func:`kernel_cache.load` for the corruption-tolerant load path.
+:func:`build` lowers and compiles an IR once per block shape;
+:mod:`repro.vector.program` keeps the code object and its binding plan
+in its per-shape table, and :func:`link` binds each capture's values
+into a fresh env and runs the shared code in it.  Nothing is cached on
+disk: a process compiles each shape it meets once.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ import time
 from operator import xor
 
 import numpy as np
-
-from repro.vector import kernel_cache
 
 # numpy's ``count_nonzero`` wrapper costs ~4x the C routine on small
 # arrays (dispatcher + axis handling); fused guards sit on the hottest
@@ -58,7 +58,7 @@ except ImportError:  # pragma: no cover - numpy 1.x layout
     except ImportError:
         _count_nonzero = np.count_nonzero
 
-__all__ = ["ARENA", "CODEGEN_METER", "KernelIR", "emit"]
+__all__ = ["ARENA", "CODEGEN_METER", "KernelIR", "build", "link"]
 
 I = "    "
 
@@ -70,29 +70,22 @@ class CodegenMeter:
     """Counters for the codegen layer, merged into ``REPLAY_METER``
     snapshots (see :meth:`repro.vector.program.ReplayMeter.snapshot`).
 
-    ``emissions`` counts full kernel source emissions in :func:`repro.vector.program._compile` — one
-    per new block shape; captures of a known shape reuse its source
-    and are not counted.  ``compile_s`` accumulates wall time spent
-    lowering + compiling on a kernel-cache miss only: it excludes
-    binding, cache hits and the source emission — the compile half of
-    the compile-vs-run split of the timing reports.
-    ``kernel_compiles`` counts the misses of both kernel caches: every
-    miss compiles once.
+    ``emissions`` counts the per-shape builds in
+    :func:`repro.vector.program._compile` — one per new block shape,
+    each emitted, lowered and compiled exactly once — and
+    ``kernel_cache_hits`` the captures of an already-built shape, which
+    only bind their values to its code.  ``compile_s`` is the wall time
+    of the builds (emission, lowering and ``compile``): the compile half
+    of the compile-vs-run split of the timing reports.
     """
 
-    __slots__ = (
-        "kernel_cache_hits",
-        "kernel_compiles",
-        "emissions",
-        "compile_s",
-    )
+    __slots__ = ("kernel_cache_hits", "emissions", "compile_s")
 
     def __init__(self):
         self.reset()
 
     def reset(self) -> None:
         self.kernel_cache_hits = 0
-        self.kernel_compiles = 0
         self.emissions = 0
         self.compile_s = 0.0
 
@@ -140,17 +133,16 @@ ARENA = ScratchArena()
 class KernelIR:
     """Backend-neutral compiled-trace form.
 
-    ``head``/``body``/``tail`` are the neutral source lines exactly as
-    the seed emitter produced them; ``source`` (their join) is the
-    identity key for the in-memory and on-disk kernel caches.
-    ``temps`` maps every non-input, non-external slot to its ``(shape,
-    dtype)`` so the emitter can lease arena storage; shapes are
-    per-recording, never persisted.  ``outs`` names the subset of
-    ``temps`` that escapes through the return tuple: such a slot never
-    takes an arena buffer, because the caller holds it across calls.
+    ``head``/``body``/``tail`` are the neutral source lines of one
+    block shape; ``env`` is one capture's binding of the names they
+    reference.  ``temps`` maps every non-input, non-external slot to
+    its ``(shape, dtype)`` so the emitter can lease arena storage.
+    ``outs`` names the subset of ``temps`` that escapes through the
+    return tuple: such a slot never takes an arena buffer, because the
+    caller holds it across calls.
     """
 
-    __slots__ = ("head", "body", "tail", "env", "temps", "outs", "source")
+    __slots__ = ("head", "body", "tail", "env", "temps", "outs")
 
     def __init__(self, head, body, tail, env, temps, outs=frozenset()):
         self.head = head
@@ -159,7 +151,6 @@ class KernelIR:
         self.env = env
         self.temps = temps
         self.outs = outs
-        self.source = "\n".join(head + body + tail) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +442,8 @@ _IMEM_RE = re.compile(r"_mach\._indexed_memory\(x(\d+), ")
 def _fast_imem(lines, imem):
     """Retarget generic ``_mach._indexed_memory(xN, ...)`` issues at a
     per-buffer specialized entry (``_imfN``) with the buffer geometry
-    baked in.  The fast entry preserves the generic path's statistics,
-    tracer events, and the non-batched fallback exactly."""
+    baked in.  The fast entry preserves the generic path's statistics
+    and tracer events exactly."""
     out = []
     for line in lines:
         for n in _IMEM_RE.findall(line):
@@ -473,8 +464,8 @@ def _make_fast_imem(buf):
     memo = [None, None]
 
     def _imf(mach, indices, size_bytes, sid):
-        if not mach.use_batched_memory:
-            return mach._indexed_memory(buf, indices, size_bytes, sid)
+        # Kernels exist only on machines with batched memory on
+        # (ReplaySession.enabled), so this is always the batched leg.
         lst = indices if type(indices) is list else indices.tolist()
         m = len(lst)
         if not m:
@@ -594,19 +585,10 @@ def _helpers_env():
 
 
 # ----------------------------------------------------------------------
-# Emission
+# Build and link
 # ----------------------------------------------------------------------
-#: Version of the lowering below; it keys the kernel caches, so bump it
-#: whenever the emitted source changes.
-_CACHE_VERSION = 4
-
-#: Compiled kernels by neutral source: ``(code, meta)``.  Cleared whole
-#: once it holds 256 entries.
-_MEMORY: dict = {}
-
-
 def _lower(ir: KernelIR):
-    """The optimized source of ``ir`` and its binding plan (``meta``)."""
+    """The optimized source of ``ir`` and its binding plan."""
     head = list(ir.head)
     tail = list(ir.tail)
     bufs: set = set()
@@ -622,54 +604,50 @@ def _lower(ir: KernelIR):
     body = _share_tolist(_fast_imem(body, imem))
     body = _arena_pass(body, plain, I, bufs)
     source = "\n".join(head + body + tail) + "\n"
-    return source, {"bufs": sorted(bufs), "imem": sorted(imem)}
+    return source, _plan(ir.temps, sorted(bufs), sorted(imem))
 
 
-def _bind(env: dict, ir: KernelIR, meta: dict) -> None:
-    """Inject the helpers, arena buffers and per-buffer memory entries
-    the optimized source names."""
-    env.update(_helpers_env())
+def _plan(temps, bufs, imem):
+    """Binding plan of one lowered shape: ``(leases, imem)``.
+
+    ``leases`` holds ``(env name, arena key, shape, dtype)`` per scratch
+    buffer the source names — an ``_mN`` merge mask is boolean, and the
+    ordinal separates equal-profile buffers of one kernel — and
+    ``imem`` the buffer slots that get a per-buffer memory entry."""
+    leases = []
     counters: dict = {}
-    for kind, slot in meta.get("bufs", ()):
-        shape, dtype = ir.temps[slot]
+    for kind, slot in bufs:
+        shape, dtype = temps[slot]
         if kind == "m":
             dtype = "bool"
         pkey = (kind, dtype, tuple(shape))
         ordinal = counters.get(pkey, 0)
         counters[pkey] = ordinal + 1
-        env[f"_{kind}{slot}"] = ARENA.lease(pkey + (ordinal,), shape, dtype)
-    for n in meta.get("imem", ()):
+        leases.append((f"_{kind}{slot}", pkey + (ordinal,), shape, dtype))
+    return tuple(leases), tuple(imem)
+
+
+def build(ir: KernelIR):
+    """Lower and compile ``ir``: its code object and binding plan."""
+    source, plan = _lower(ir)
+    return compile(source, "<recorded-program>", "exec"), plan
+
+
+#: Helper functions the optimized source names; stateless, so shared.
+_HELPERS = _helpers_env()
+
+
+def link(code, plan, env: dict):
+    """The kernel callable: inject the helpers, arena buffers and
+    per-buffer memory entries ``plan`` names into ``env`` (one capture's
+    values) and ``exec`` the shape's shared ``code`` in it."""
+    env.update(_HELPERS)
+    leases, imem = plan
+    lease = ARENA.lease
+    for name, key, shape, dtype in leases:
+        env[name] = lease(key, shape, dtype)
+    for n in imem:
         env[f"_imf{n}"] = _make_fast_imem(env[f"x{n}"])
-
-
-def emit(ir: KernelIR):
-    """The kernel callable for ``ir``: memory cache -> disk cache ->
-    lower + compile, then bind into the capture's env and ``exec``.
-
-    Both caches key on the *neutral* source, so structurally identical
-    blocks from different machines share bytecode.
-    """
-    entry = _MEMORY.get(ir.source)
-    if entry is not None:
-        CODEGEN_METER.kernel_cache_hits += 1
-        code, meta = entry
-    else:
-        digest = kernel_cache.digest(_CACHE_VERSION, ir.source)
-        cached = kernel_cache.load(digest)
-        if cached is not None:
-            CODEGEN_METER.kernel_cache_hits += 1
-            code, meta = cached["code"], cached["meta"]
-        else:
-            CODEGEN_METER.kernel_compiles += 1
-            start = time.perf_counter()
-            source, meta = _lower(ir)
-            code = compile(source, "<recorded-program>", "exec")
-            CODEGEN_METER.compile_s += time.perf_counter() - start
-            kernel_cache.store(digest, code, meta)
-        if len(_MEMORY) >= 256:
-            _MEMORY.clear()
-        _MEMORY[ir.source] = (code, meta)
-    _bind(ir.env, ir, meta)
     namespace: dict = {}
-    exec(code, ir.env, namespace)
+    exec(code, env, namespace)
     return namespace["_rp"]

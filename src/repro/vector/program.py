@@ -49,14 +49,14 @@ keeps the index-vector form.  The DP chunk kernels predicate all of
 their loads, stores and QBUFFER reads this way.
 
 Captured programs live on per-pair objects, so the same block is
-captured again for every pair.  The kernel source is therefore emitted
-once per *block shape* (:class:`_Shape`: everything the emitter reads —
-op structure, inlined constants, slot layout, latencies) and kept in a
-bounded table; every later capture of that shape only binds its own
-values (buffers, baked constants, stream ids, externals, the machine)
-into a fresh env and hands the shared source to the emitter
-(:func:`repro.vector.backends.emit`), whose memory and disk caches
-serve the code.
+captured again for every pair.  The kernel is therefore built once per
+*block shape* (:class:`_Shape`: everything the emitter reads — op
+structure, inlined constants, slot layout, latencies): emitted here,
+lowered and compiled by :func:`repro.vector.backends.build`, and kept
+with its binding plan in a bounded per-shape table (``_EMISSIONS``).
+Every later capture of that shape only binds its own values (buffers,
+baked constants, stream ids, externals, the machine) into a fresh env
+and runs the shared code in it (:func:`repro.vector.backends.link`).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ import numpy as np
 from time import perf_counter as _pc
 
 from repro.errors import MachineError
-from repro.vector.backends import CODEGEN_METER, KernelIR, emit
+from repro.vector.backends import CODEGEN_METER, KernelIR, build, link
 from repro.vector.machine import (
     _BINOPS,
     _CMPOPS,
@@ -138,7 +138,6 @@ class ReplayMeter:
             "memvec_patterns_compiled": MEMVEC_METER.patterns_compiled,
             "memvec_pattern_declined": MEMVEC_METER.pattern_declined,
             "kernel_cache_hits": CODEGEN_METER.kernel_cache_hits,
-            "kernel_compiles": CODEGEN_METER.kernel_compiles,
             "emissions": CODEGEN_METER.emissions,
             "compile_s": CODEGEN_METER.compile_s,
             "arena_bytes": ARENA.nbytes,
@@ -665,30 +664,40 @@ class Recorder:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-#: Emitted kernels by recording shape.  Bounded like the emitter's
-#: in-memory kernel cache: cleared whole once it holds 256 shapes.
+#: Built kernels by recording shape: each :class:`_Emission` holds its
+#: shape's code object and binding plan.  Cleared whole once it holds
+#: 256 shapes.
 _EMISSIONS: dict = {}
 
 
 def _compile(rec: Recorder, out_slots: list[int]) -> "RecordedProgram":
     """Compile the recorded block into one replay function.
 
-    The source is emitted once per :class:`_Shape` (metered on
-    ``CODEGEN_METER.emissions``); every capture binds its own values
-    into a fresh env and goes through :func:`emit`, so kernel code
-    still comes from the emitter's memory and disk caches.
+    A new :class:`_Shape` is emitted, lowered and compiled once (metered
+    on ``CODEGEN_METER.emissions`` and ``compile_s``); every capture of
+    a known shape (``kernel_cache_hits``) binds its own values into a
+    fresh env and runs the shape's code in it.
     """
     shape = _shape(rec, out_slots)
     em = _EMISSIONS.get(shape)
     if em is None:
+        start = _pc()
         em = _emit(shape)
+        env = em.bind(rec)
+        code, plan = build(
+            KernelIR(em.head, em.body, em.tail, env, em.temps, outs=em.outs)
+        )
+        em = em._replace(code=code, plan=plan)
         CODEGEN_METER.emissions += 1
+        CODEGEN_METER.compile_s += _pc() - start
         if len(_EMISSIONS) >= 256:
             _EMISSIONS.clear()
         _EMISSIONS[shape] = em
-    ir = KernelIR(em.head, em.body, em.tail, em.bind(rec), em.temps,
-                  outs=em.outs)
-    return RecordedProgram(emit(ir), len(shape.ops), ir.source)
+    else:
+        CODEGEN_METER.kernel_cache_hits += 1
+        env = em.bind(rec)
+    return RecordedProgram(link(em.code, em.plan, env), len(shape.ops),
+                           em.source)
 
 
 class _Shape(NamedTuple):
@@ -791,7 +800,8 @@ def _shape(rec: Recorder, out_slots) -> _Shape:
 
 
 class _Emission(NamedTuple):
-    """One emitted kernel source and its binding plan.
+    """One block shape's kernel: its neutral source, the compiled code
+    and the plans that bind a capture's values to it.
 
     ``kbinds`` lists ``(env name, op index, op field)`` for the bound
     op fields; ``bakes`` the emitter's own constants as ``(env name,
@@ -810,6 +820,12 @@ class _Emission(NamedTuple):
     #: Whether the source checks ``_eg``, and whether it calls ``_cnt``.
     guard: bool
     cnt: bool
+    #: The neutral source (head, body and tail joined).
+    source: str
+    #: Set by :func:`_compile`: the compiled code and the arena and
+    #: memory-entry plan of :func:`repro.vector.backends.build`.
+    code: object = None
+    plan: tuple = ()
 
     def bind(self, rec: Recorder) -> dict:
         """A fresh env holding ``rec``'s values under the source's names."""
@@ -832,7 +848,7 @@ class _Emission(NamedTuple):
         if self.guard:
             # The guard bound goes through the env, not the source text:
             # ready stamps vary run to run, and an inlined int would
-            # defeat the shared bytecode cache for equal-shape blocks.
+            # split one shape's code per stamp.
             env["_eg"] = _ext_bound(rec, self.out_slots)
         if self.cnt:
             env["_cnt"] = _count_matches()
@@ -995,7 +1011,7 @@ def _emit(shape: _Shape) -> _Emission:
         """Pass a per-instance int (stream ids, buffer lengths) through
         the env under a position-deterministic name, keeping the
         generated source identical across structurally equal blocks so
-        the shared bytecode cache can hit."""
+        they share one shape's code."""
         name = f"_k{len(kbinds)}"
         kbinds.append((name, k, field))
         return name
@@ -1247,8 +1263,8 @@ def _emit(shape: _Shape) -> _Emission:
             p, buf, n, eb = op["p"], op["buf"], op["n"], op["eb"]
             w(f"ts = {ssrc(op['start'])}")
             # Buffer length goes through the env (kbake), not the source:
-            # the same block over different-length sequences must keep an
-            # identical source so the bytecode cache can hit.
+            # the same block over different-length sequences must keep
+            # one shape, and so one compiled kernel.
             if wlanes.get(p) == n:
                 # Lanes 0..w-1 clipped to the buffer: live indices
                 # tlo..thi-1, zero elsewhere.
@@ -1458,7 +1474,8 @@ def _emit(shape: _Shape) -> _Emission:
         if slot in out_set:
             outs.add(slot)
     return _Emission(head, L, tail, temps, frozenset(outs), out_slots,
-                     tuple(kbinds), tuple(bakes), shape.ext_guard, cnt)
+                     tuple(kbinds), tuple(bakes), shape.ext_guard, cnt,
+                     "\n".join(head + L + tail) + "\n")
 
 
 def _np_full_i64(n: int, value) -> np.ndarray:
@@ -1542,16 +1559,10 @@ _BASE_ENV = {
 # ----------------------------------------------------------------------
 # Programs and sessions
 # ----------------------------------------------------------------------
-_replay_coupling_warned = False
-
-
 def _warn_replay_without_batched() -> None:
     """Surface the replay/batched-memory coupling instead of silently
-    interpreting every block (see ``ReplaySession.enabled``)."""
-    global _replay_coupling_warned
-    if _replay_coupling_warned:
-        return
-    _replay_coupling_warned = True
+    interpreting every block (see ``ReplaySession.enabled``).  The
+    default warning filter shows it once per call site."""
     import warnings
 
     warnings.warn(
@@ -1562,7 +1573,6 @@ def _warn_replay_without_batched() -> None:
         RuntimeWarning,
         stacklevel=3,
     )
-
 
 
 class RecordedProgram:
@@ -1632,9 +1642,9 @@ class ReplaySession:
     def enabled(machine) -> bool:
         """Replay needs the batched memory engine: the compiled memory
         ops are its packed-window / access-batch legs, so with
-        ``use_batched_memory`` off every block stays interpreted.  That
-        combination is legal (the conformance grid runs it) but silently
-        loses the replay speedup, so it warns once per process.
+        ``use_batched_memory`` off every block stays interpreted, and
+        no kernel is captured or run.  That combination is legal but
+        loses the replay speedup, so it warns.
         """
         if machine.use_replay and not machine.use_batched_memory:
             _warn_replay_without_batched()

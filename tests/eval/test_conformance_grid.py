@@ -29,6 +29,13 @@ of every axis additionally asserts the replay meter's conservation
 invariant: captures + replayed + interpreted + broken must equal the
 total metered block executions.
 
+Replay needs batched memory (``ReplaySession.enabled``), so a cell
+that requests replay with serial memory must run the serial path: on
+every axis, its in-process (jobs 1) cells also assert that nothing was
+captured or replayed, and ``test_replay_is_off_without_batched_memory``
+checks the warning that combination raises, for one family per replay
+path.
+
 The shard plan adds a third axis.  Pairs that share a machine see each
 other's cache state, so the plans are compared plan by plan: every cell
 of
@@ -40,19 +47,20 @@ run across two worker processes must reproduce the all-off serial run
 of the same plan, on both batch kinds.  The whole-batch plan is the one
 the figure commands run.
 
-The replay JIT's kernel source adds a fourth axis: with replay and
-batched memory on, every cell of
+The replay JIT's per-shape kernel table adds a fourth axis: with
+replay and batched memory on, every cell of
 
-    {compiled, disk, corrupt} x {jobs 1/2}
+    {compiled, warm, cross} x {jobs 1/2}
 
 must reproduce the baseline on both batch kinds.  ``compiled`` starts
-from empty kernel caches, so every kernel is lowered and compiled;
-``disk`` starts like a new process over a warm on-disk kernel cache, so
-every kernel is loaded from its marshalled file; ``corrupt`` is the
-same with one bit of every kernel file flipped, so every load is
-rejected and the kernel recompiled.  The pooled cells run the kernels
-in forked workers, which start from the parent's emptied caches and
-share its disk directory.
+from an empty table, as a new process does, so every kernel is
+emitted, lowered and compiled; ``warm`` starts from the table a run of
+the same cell filled, so every capture binds its values into code
+already built; ``cross`` starts from the table a run of the other
+batch kind filled, so the cell runs code built from another batch's
+values, as a figure or serve process does after its first cells.  The
+pooled cells run in forked workers, which start from the parent's
+table.
 
 The vector length adds a fifth axis: every cell of
 
@@ -94,9 +102,9 @@ on whether it ran in the server's process or on the worker process
 ``repro serve`` starts by default.
 
 The replay JIT has one kernel emitter and the memory model one batched
-engine (pattern memoization in front of the scalar walk, always on), so
-neither needs a switch axis: every replay cell of the base and
-divergent grids runs the emitter with memoization on, under
+walk (pattern memoization in front of it, always on, at every batch
+length), so neither needs a switch axis: every replayed cell of the
+base and divergent grids runs the emitter with memoization on, under
 {use_batched_memory} x {jobs 1/2}, on both batch kinds.
 
 All cells outside the shard axis (including the baseline) run
@@ -126,12 +134,11 @@ from repro.align.quetzal_impl import (
     WfaQzc,
 )
 from repro.align.vectorized import BiwfaVec, SsVec, WfaVec
-from repro.cache import CALIBRATION
 from repro.config import SystemConfig
 from repro.eval import records
 from repro.eval.runner import run_implementation
 from repro.genomics.generator import ErrorProfile, ReadPairGenerator
-from repro.vector import backends, kernel_cache, program
+from repro.vector import program
 from repro.vector.machine import VectorMachine
 from repro.vector.program import REPLAY_METER
 
@@ -193,7 +200,9 @@ def run_cell(impl_cls, batch, use_batched_memory, use_replay, trace, jobs,
     inherit under fork, so this exercises exactly the production
     propagation path; ``auto_trace`` mirrors the ``REPRO_TRACE``
     environment knob.  The default ``shard_size=1`` puts every pair on
-    a fresh machine; ``system=None`` is the default system.
+    a fresh machine; ``system=None`` is the default system.  Replay
+    requested with serial memory must capture and replay nothing; the
+    in-process cells check it (pooled ones meter in their workers).
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(VectorMachine, "use_batched_memory", use_batched_memory)
@@ -206,6 +215,9 @@ def run_cell(impl_cls, batch, use_batched_memory, use_replay, trace, jobs,
             )
         )
         assert_meter_conserved()
+        if use_replay and not use_batched_memory and jobs == 1:
+            assert REPLAY_METER.captures == 0, "replay ran on serial memory"
+            assert REPLAY_METER.replayed_blocks == 0, "replay ran on serial memory"
         return sig
 
 
@@ -350,50 +362,28 @@ def test_shard_cell_matches_baseline(name, cell, kind):
     assert_matches(got, expected)
 
 
-#: (kernel source, jobs) — replay + batched memory on throughout.
-KERNEL_GRID = list(itertools.product(("compiled", "disk", "corrupt"), (1, 2)))
+#: (kernel table state, jobs) — replay + batched memory on throughout.
+KERNEL_GRID = list(itertools.product(("compiled", "warm", "cross"), (1, 2)))
 
-
-def _empty_kernel_caches():
-    """Drop both in-process kernel caches, as a new process starts."""
-    backends._MEMORY.clear()
-    program._EMISSIONS.clear()
+#: The batch kind whose run fills the table of a ``warm`` or ``cross``
+#: cell, by the cell's own kind.
+PRIMING_KIND = {
+    "warm": {"standard": "standard", "divergent": "divergent"},
+    "cross": {"standard": "divergent", "divergent": "standard"},
+}
 
 
 @contextlib.contextmanager
-def kernel_source(source, directory, prime):
-    """Put the kernel caches in the state ``source`` names.
-
-    ``prime`` runs the cell once (with empty in-process caches, so every
-    kernel is compiled and stored) to warm the disk cache under
-    ``directory``.  The disk switch and both in-process caches are
-    restored afterwards.
-    """
-    saved = (
-        CALIBRATION.directory, dict(backends._MEMORY), dict(program._EMISSIONS)
-    )
+def empty_shape_table():
+    """Start from an empty per-shape kernel table, as a new process
+    does; the table is restored afterwards."""
+    saved = dict(program._EMISSIONS)
+    program._EMISSIONS.clear()
     try:
-        _empty_kernel_caches()
-        if source == "compiled":
-            CALIBRATION.disable_disk()
-        else:
-            CALIBRATION.enable_disk(directory)
-            prime()
-            files = sorted(kernel_cache.kernel_dir().glob("k-*.bin"))
-            assert files, "priming stored no kernel files"
-            if source == "corrupt":
-                for path in files:
-                    raw = bytearray(path.read_bytes())
-                    raw[len(raw) // 2] ^= 0x01
-                    path.write_bytes(bytes(raw))
-            _empty_kernel_caches()
         yield
     finally:
-        CALIBRATION.directory = saved[0]
-        backends._MEMORY.clear()
-        backends._MEMORY.update(saved[1])
         program._EMISSIONS.clear()
-        program._EMISSIONS.update(saved[2])
+        program._EMISSIONS.update(saved)
 
 
 def kernel_cell_id(cell):
@@ -403,32 +393,56 @@ def kernel_cell_id(cell):
 @pytest.mark.parametrize("kind", ("standard", "divergent"))
 @pytest.mark.parametrize("name", sorted(IMPLS))
 @pytest.mark.parametrize("cell", KERNEL_GRID, ids=kernel_cell_id)
-def test_kernel_cell_matches_baseline(tmp_path, name, cell, kind):
-    source, jobs = cell
+def test_kernel_cell_matches_baseline(name, cell, kind):
+    table, jobs = cell
     if jobs > 1 and not HAS_FORK:
         pytest.skip("pooled cells need the fork start method")
     expected = kind_baseline_for(name, kind)
-    batch = _kind_batches[(name, kind)]
 
-    def run(jobs):
-        return run_cell(IMPLS[name], batch, True, True, False, jobs)
+    def run(batch_kind, jobs):
+        kind_baseline_for(name, batch_kind)  # materialize _kind_batches
+        return run_cell(
+            IMPLS[name], _kind_batches[(name, batch_kind)],
+            True, True, False, jobs,
+        )
 
-    with kernel_source(source, tmp_path / "cache", lambda: run(1)):
-        if source == "corrupt" and jobs == 1:
-            with pytest.warns(RuntimeWarning, match="recompiling"):
-                got = run(jobs)
-        else:
-            got = run(jobs)
+    with empty_shape_table():
+        if table != "compiled":
+            run(PRIMING_KIND[table][kind], 1)
+        got = run(kind, jobs)
         meter = REPLAY_METER.snapshot()
     assert_matches(got, expected)
     if jobs == 1:
         # Pooled cells meter in their workers; the serial ones prove
-        # the kernels really came from the source the cell names.
-        if source == "disk":
-            assert meter["kernel_compiles"] == 0
-            assert meter["kernel_cache_hits"] > 0
+        # the kernels came from the table state the cell names.
+        assert meter["captures"] > 0
+        if table == "compiled":
+            assert meter["emissions"] > 0
+        elif table == "warm":
+            assert meter["emissions"] == 0
+            assert meter["kernel_cache_hits"] == meter["captures"]
         else:
-            assert meter["kernel_compiles"] > 0
+            assert meter["kernel_cache_hits"] > 0
+
+
+#: One family per replay path: the extend session, SneakySnake's
+#: column set-up, the QBUFFER window and the DP chunk programs.
+COUPLED_IMPLS = {
+    "wfa-vec": WfaVec, "ss-vec": SsVec, "wfa-qz": WfaQz, "ksw-qz": KswQz,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_IMPLS))
+def test_replay_is_off_without_batched_memory(name):
+    """Replay requested with batched memory off: the run warns, captures
+    and replays nothing (``run_cell`` checks), and reproduces the oracle
+    (all-off) run."""
+    expected = baseline_for(name)
+    with pytest.warns(RuntimeWarning, match="use_replay=True has no effect"):
+        got = run_cell(
+            COUPLED_IMPLS[name], _batches[name], False, True, False, 1
+        )
+    assert_matches(got, expected)
 
 
 #: The vector-length axis: its lengths, families, and

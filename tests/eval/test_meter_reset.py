@@ -26,8 +26,7 @@ from repro.vector.program import REPLAY_METER
 COUNT_KEYS = (
     "captures", "replayed_blocks", "interpreted_blocks", "broken",
     "total_blocks", "replayed_instructions", "interpreted_instructions",
-    "kernel_cache_hits", "kernel_compiles",
-    "emissions", "memvec_pattern_hits", "memvec_pattern_misses",
+    "kernel_cache_hits", "emissions", "memvec_pattern_hits", "memvec_pattern_misses",
 )
 
 
@@ -63,7 +62,7 @@ def test_reset_run_meters_clears_codegen(replay_on):
     timing.reset_run_meters()
     assert REPLAY_METER.total_blocks == 0
     assert CODEGEN_METER.kernel_cache_hits == 0
-    assert CODEGEN_METER.kernel_compiles == 0
+    assert CODEGEN_METER.emissions == 0
     assert CODEGEN_METER.compile_s == 0.0
 
 
@@ -71,7 +70,7 @@ def test_compute_batch_meters_each_run_from_zero(replay_on):
     """Back-to-back serve batches must report identical per-run counts:
     without the reset, every counter would grow monotonically."""
     requests = make_requests()
-    compute_batch(requests, 1)  # warm caches (kernel cache is global)
+    compute_batch(requests, 1)  # warm caches (the shape table is global)
     compute_batch(requests, 1)
     first = counts()
     compute_batch(requests, 1)

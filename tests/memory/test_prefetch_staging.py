@@ -1,7 +1,7 @@
 """Regression tests for the unified prefetch-staging helper.
 
 ``MemoryHierarchy._prefetch_rels`` is the single inline of the stride
-prefetcher's emission rules used by every batch engine; it replaced
+prefetcher's emission rules used by the demand walks; it replaced
 three copy-pasted staging blocks that had drifted apart (one copy's
 ``exclude`` comment no longer matched its code).  These tests pin the
 contract: byte-for-byte the same targets, the same ``issued`` counts,

@@ -5,8 +5,11 @@ import pytest
 from repro._version import __version__
 from repro.cache import CALIBRATION, CacheCounters, CalibrationCache
 from repro.eval.runner import run_implementation
+from repro.align.quetzal_impl import KswQz
 from repro.align.vectorized import WfaVec
 from repro.genomics.generator import ErrorProfile, ReadPairGenerator
+from repro.vector import program
+from repro.vector.backends import CODEGEN_METER
 from repro.vector.stats import MachineStats
 
 
@@ -191,3 +194,27 @@ class TestCalibratedRunsAreCacheInvariant:
         assert cold.instructions == warm.instructions
         assert delta.disk_hits >= 1
         assert delta.misses == 0
+
+
+class TestDiskHoldsOnlyCalibration:
+    def test_runs_store_only_calibration_tables(self, shared_cache):
+        """Replay kernels live only in the per-shape table: a calibrated
+        run and a replayed run that builds its kernels, with the disk
+        layer on, leave nothing but ``calib-*.pkl`` files."""
+        cache, cache_dir = shared_cache
+        cache.enable_disk(cache_dir)
+        cache.clear_memory()
+        saved = dict(program._EMISSIONS)
+        program._EMISSIONS.clear()
+        try:
+            run_implementation(WfaVec(fast=True), small_batch())
+            run_implementation(KswQz(), small_batch())
+            assert CODEGEN_METER.emissions > 0
+        finally:
+            program._EMISSIONS.clear()
+            program._EMISSIONS.update(saved)
+        entries = sorted(cache_dir.rglob("*"))
+        assert entries
+        for path in entries:
+            assert path.parent == cache_dir, path
+            assert path.name.startswith("calib-") and path.suffix == ".pkl", path

@@ -1,18 +1,15 @@
-"""Replay-emitter tests: identity with the interpreter, the persistent
-kernel cache, and the optimizer passes.
+"""Replay-emitter tests: identity with the interpreter, the per-shape
+kernel table, and the optimizer passes.
 
 The identity contract mirrors ``test_program``: a run replayed through
 the emitted kernels must be *bit-identical* to the interpreter —
 register values, ``MachineStats``, the clock, and the tracer event
-totals — whether the kernels were just compiled or loaded from the
-disk cache.  On top of that this module pins the cache behaviour (warm hits
-with zero recompiles, corruption tolerance) and the arena's zero-alloc
-steady state, which are performance contracts the replay engine relies
-on but the end-to-end suites never observe directly.
+totals.  On top of that this module pins the per-shape table (one
+build per block shape, values bound per capture) and the arena's
+zero-alloc steady state, which are performance contracts the replay
+engine relies on but the end-to-end suites never observe directly.
 """
 
-import pickle
-import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CALIBRATION
 from repro.config import SystemConfig
-from repro.vector import backends, kernel_cache, program
+from repro.vector import program
 from repro.vector.backends import (
     ARENA,
     CODEGEN_METER,
@@ -134,35 +130,32 @@ def _loop_body(buf):
 # ----------------------------------------------------------------------
 # Identity with the interpreter
 # ----------------------------------------------------------------------
-def assert_identical_from(source, body_factory, **kw):
+def assert_identical_from(table, body_factory, **kw):
     """:func:`assert_replay_identical` with the replayed run's kernels
-    from ``source``: ``compiled`` (empty caches, disk off: every kernel
-    is lowered and compiled) or ``disk`` (a new process over a warm
-    disk cache: every kernel is loaded, none compiled).  Needs the
-    ``disk_cache`` fixture."""
-    backends._MEMORY.clear()
-    if source == "compiled":
-        CALIBRATION.disable_disk()
-    else:
-        run_session(body_factory, True, **kw)  # compile and store
-        backends._MEMORY.clear()
+    from the per-shape table in the state ``table`` names: ``compiled``
+    (empty: every kernel is emitted, lowered and compiled) or ``warm``
+    (filled by an earlier replayed run of the same body: every capture
+    binds its values into code already built, none is emitted)."""
+    program._EMISSIONS.clear()
+    if table == "warm":
+        run_session(body_factory, True, **kw)
+    emissions0 = CODEGEN_METER.emissions
     hits0 = CODEGEN_METER.kernel_cache_hits
-    compiles0 = CODEGEN_METER.kernel_compiles
     assert_replay_identical(body_factory, **kw)
-    if source == "compiled":
-        assert CODEGEN_METER.kernel_compiles > compiles0
+    if table == "compiled":
+        assert CODEGEN_METER.emissions > emissions0
     else:
-        assert CODEGEN_METER.kernel_compiles == compiles0
+        assert CODEGEN_METER.emissions == emissions0
         assert CODEGEN_METER.kernel_cache_hits > hits0
 
 
-@pytest.mark.parametrize("source", ("compiled", "disk"))
+@pytest.mark.parametrize("table", ("compiled", "warm"))
 class TestEmitterIdentity:
-    def test_gather_block(self, disk_cache, source):
-        assert_identical_from(source, _gather_body, iters=6)
+    def test_gather_block(self, table):
+        assert_identical_from(table, _gather_body, iters=6)
 
-    def test_carried_predicate_loop(self, disk_cache, source):
-        assert_identical_from(source, _loop_body, iters=4, loop=True)
+    def test_carried_predicate_loop(self, table):
+        assert_identical_from(table, _loop_body, iters=4, loop=True)
 
 
 def _plan_body(plan, scalar=3, sid=None):
@@ -339,137 +332,6 @@ class TestEmissionTable:
 
 
 # ----------------------------------------------------------------------
-# Persistent kernel cache
-# ----------------------------------------------------------------------
-@pytest.fixture
-def disk_cache(tmp_path):
-    """Point the shared disk switch at a scratch dir; restore after."""
-    saved_dir = CALIBRATION.directory
-    CALIBRATION.enable_disk(tmp_path / "cache")
-    saved_memory = dict(backends._MEMORY)
-    try:
-        yield tmp_path / "cache"
-    finally:
-        CALIBRATION.directory = saved_dir
-        backends._MEMORY.clear()
-        backends._MEMORY.update(saved_memory)
-
-
-def _compiled_entry(source="d0 = 1\n"):
-    dig = kernel_cache.digest(1, source)
-    code = compile(source, "<kernel>", "exec")
-    kernel_cache.store(dig, code, {"bufs": []})
-    return dig, kernel_cache._path(dig)
-
-
-class TestKernelCacheCorruption:
-    def test_roundtrip(self, disk_cache):
-        dig, path = _compiled_entry()
-        assert path.exists()
-        got = kernel_cache.load(dig)
-        assert got is not None and got["meta"] == {"bufs": []}
-        ns = {}
-        exec(got["code"], {}, ns)
-        assert ns["d0"] == 1
-
-    def test_disabled_disk_is_a_silent_noop(self, disk_cache):
-        dig, path = _compiled_entry()
-        CALIBRATION.disable_disk()
-        assert kernel_cache.load(dig) is None
-        kernel_cache.store(dig, compile("", "<k>", "exec"), {})
-
-    def test_truncated_entry(self, disk_cache):
-        dig, path = _compiled_entry()
-        path.write_bytes(path.read_bytes()[:3])
-        with pytest.warns(RuntimeWarning, match="truncated"):
-            assert kernel_cache.load(dig) is None
-
-    def test_flipped_bit(self, disk_cache):
-        dig, path = _compiled_entry()
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x40
-        path.write_bytes(bytes(raw))
-        with pytest.warns(RuntimeWarning, match="CRC mismatch"):
-            assert kernel_cache.load(dig) is None
-
-    def test_garbage_pickle_with_valid_crc(self, disk_cache):
-        dig, path = _compiled_entry()
-        body = b"certainly not a pickle"
-        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            assert kernel_cache.load(dig) is None
-
-    def test_foreign_format_with_valid_crc(self, disk_cache):
-        dig, path = _compiled_entry()
-        body = pickle.dumps({"format": "someone-elses", "digest": dig})
-        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
-        with pytest.warns(RuntimeWarning, match="different cache format"):
-            assert kernel_cache.load(dig) is None
-
-    def test_digest_mismatch_rejected(self, disk_cache):
-        # A payload copied under the wrong filename must not be served.
-        dig, path = _compiled_entry()
-        other = kernel_cache.digest(1, "d0 = 2\n")
-        path.rename(kernel_cache._path(other))
-        with pytest.warns(RuntimeWarning, match="different cache format"):
-            assert kernel_cache.load(other) is None
-
-    def test_bad_marshal_with_valid_crc(self, disk_cache):
-        dig, path = _compiled_entry()
-        body = pickle.dumps(
-            {
-                "format": kernel_cache._FORMAT,
-                "digest": dig,
-                "code": b"\xffnot bytecode",
-                "meta": {},
-            }
-        )
-        path.write_bytes(zlib.crc32(body).to_bytes(4, "little") + body)
-        with pytest.warns(RuntimeWarning, match="bad bytecode"):
-            assert kernel_cache.load(dig) is None
-
-    def test_digest_separates_versions_and_sources(self):
-        src = "d0 = 1\n"
-        digs = {
-            kernel_cache.digest(1, src),
-            kernel_cache.digest(2, src),
-            kernel_cache.digest(2, src + "x = 0\n"),
-        }
-        assert len(digs) == 3
-        assert kernel_cache.digest(1, src) == kernel_cache.digest(1, src)
-
-
-class TestKernelCacheEndToEnd:
-    def test_warm_cache_hits_without_recompiles(self, disk_cache):
-        backends._MEMORY.clear()
-        first = run_session(_gather_body, True, iters=5)
-        # Simulate a new process: in-memory kernel cache gone, disk kept.
-        backends._MEMORY.clear()
-        hits0 = CODEGEN_METER.kernel_cache_hits
-        compiles0 = CODEGEN_METER.kernel_compiles
-        second = run_session(_gather_body, True, iters=5)
-        assert second == first
-        assert CODEGEN_METER.kernel_cache_hits > hits0
-        assert CODEGEN_METER.kernel_compiles == compiles0, (
-            "warm kernel cache must serve every kernel without recompiling"
-        )
-
-    def test_corrupted_entries_recompile_identically(self, disk_cache):
-        backends._MEMORY.clear()
-        first = run_session(_gather_body, True, iters=5)
-        for entry in kernel_cache.kernel_dir().glob("k-*.bin"):
-            raw = bytearray(entry.read_bytes())
-            raw[len(raw) // 2] ^= 0x01
-            entry.write_bytes(bytes(raw))
-        backends._MEMORY.clear()
-        compiles0 = CODEGEN_METER.kernel_compiles
-        with pytest.warns(RuntimeWarning, match="recompiling"):
-            second = run_session(_gather_body, True, iters=5)
-        assert second == first
-        assert CODEGEN_METER.kernel_compiles > compiles0
-
-
-# ----------------------------------------------------------------------
 # Scratch arena
 # ----------------------------------------------------------------------
 class TestArenaSteadyState:
@@ -620,12 +482,3 @@ class TestFastImemAndSharedTolist:
         m1, b1 = fresh_machine()
         m2, b2 = fresh_machine()
         assert gather(m1, b1, False) == gather(m2, b2, True)
-
-    def test_fast_imem_serial_fallback_delegates(self):
-        m1, b1 = fresh_machine()
-        m2, b2 = fresh_machine()
-        m1.use_batched_memory = False
-        m2.use_batched_memory = False
-        arr = np.array([3, 900, 41], dtype=np.int64)
-        expect = m1._indexed_memory(b1, arr, 8, 0)
-        assert _make_fast_imem(b2)(m2, arr, 8, 0) == expect

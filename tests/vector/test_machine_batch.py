@@ -21,9 +21,9 @@ from repro.vector.machine import _BYTE_REVERSE_LUT, VectorMachine
 from repro.vector.trace import KIND_MEMBATCH
 
 
-def two_machines():
-    serial = VectorMachine(SystemConfig())
-    batched = VectorMachine(SystemConfig())
+def two_machines(system=None):
+    serial = VectorMachine(system or SystemConfig())
+    batched = VectorMachine(system or SystemConfig())
     serial.use_batched_memory = False
     batched.use_batched_memory = True
     return serial, batched
@@ -59,8 +59,8 @@ def random_pred(machine, rng, ebits):
 
 class TestSerialBatchedPrograms:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_mixed_program_bit_identical(self, seed):
-        serial, batched = two_machines()
+    def test_mixed_program_bit_identical(self, seed, vlen_bits=512):
+        serial, batched = two_machines(SystemConfig(vlen_bits=vlen_bits))
         results = {}
         for label, machine in (("serial", serial), ("batched", batched)):
             rng = np.random.default_rng(1000 + seed)
@@ -121,6 +121,13 @@ class TestSerialBatchedPrograms:
         assert results["serial"][0] == results["batched"][0]
         assert results["serial"][1] == results["batched"][1]
         assert results["serial"][2:] == results["batched"][2:]
+
+    # At 1024 and 2048 bits a byte gather has 128 and 256 lanes, so its
+    # access batch runs well past 64 requests.
+    @pytest.mark.parametrize("vlen_bits", [1024, 2048])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_wide_program_bit_identical(self, seed, vlen_bits):
+        self.test_mixed_program_bit_identical(seed, vlen_bits)
 
     def test_out_of_range_parity(self):
         for bad in ([-1, 0, 1], [0, 10_000, 1]):
